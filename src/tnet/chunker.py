@@ -285,14 +285,10 @@ def observe_pair(net: Network, a: str, b: str, order: str) -> None:
         raise ValueError(f"unknown order {order!r}")
     for node_id, amount in credits.items():
         node = net.node(node_id)
-        if node.weight >= p.theta:
-            net.update_weight(node)
-            continue
-        node.weight = min(p.w_max, node.weight + amount)
-        if node.weight >= p.theta:
-            node.fixated = True
-        node.credited_tick = net.tick_count
-        net.bump_activation(node, 3)
+        below = node.weight < p.theta
+        net.update_weight(node, amount=amount)
+        if below:
+            net.bump_activation(node, 3)
     net.end_tick()
 
 

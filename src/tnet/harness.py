@@ -309,15 +309,25 @@ def _event_lines(events: list[tuple[int, str, str, float]]) -> list[str]:
     return [f"{tick}\t{kind}\t{element}\t{value!r}" for tick, kind, element, value in events]
 
 
+def _section_number(section: str, data: dict, key: str, default, cast):
+    """``data[key]`` (or ``default``) converted by ``cast``; a value that does
+    not convert is a config error naming ``section.key``."""
+    value = data.get(key, default)
+    try:
+        return cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{section}.{key}: expected a number, got {value!r}") from None
+
+
 def _predict_schedule(cfg: ExperimentConfig) -> list[bool]:
     section = cfg.predict
     if "schedule" in section:
         return [bool(x) for x in section["schedule"]]
-    trials = int(section.get("trials", 20))
-    probability = section.get("probability")
-    if probability is None:
+    trials = _section_number("predict", section, "trials", 20, int)
+    if section.get("probability") is None:
         return [True] * trials
-    return [counter_uniform(cfg.seed, "schedule", i) < float(probability)
+    probability = _section_number("predict", section, "probability", None, float)
+    return [counter_uniform(cfg.seed, "schedule", i) < probability
             for i in range(trials)]
 
 
@@ -366,8 +376,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
             a, b = section["a"], section["b"]
         except KeyError as exc:
             raise ConfigError(f"hebbian: missing field {exc}") from exc
-        reps = int(section.get("reps", 3))
-        gap = int(section.get("gap_ticks", 0))
+        reps = _section_number("hebbian", section, "reps", 3, int)
+        gap = _section_number("hebbian", section, "gap_ticks", 0, int)
         net.ensure_node(a)
         net.ensure_node(b)
         hebbian_episode(net, a, b, reps, gap)

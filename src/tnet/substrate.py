@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from enum import Enum
+from operator import attrgetter
 from typing import Iterable, Iterator, Mapping
 
 from .errors import FixationError, TopologyError
@@ -90,30 +92,81 @@ class FiringMode(Enum):
 # elements
 # ---------------------------------------------------------------------------
 
-@dataclass
 class Element:
-    weight: float = 0.0
-    activation: float = 0.0
-    fixated: bool = False
-    above_credits: int = 0      # credits received while at/above theta
-    credited_tick: int = -1     # last tick this element was credited
+    """Weight, activation and credit state shared by nodes and edges.
+
+    Built only by :class:`Network`, which registers every new element as
+    live.  ``_net`` is a weak reference to that network: it lets a dormant
+    element put itself back on the live list (see :func:`_wake`) without
+    keeping a dropped network alive.
+    """
+
+    __slots__ = ("weight", "activation", "fixated", "above_credits", "credited_tick", "_net")
+
+    def __init__(self, net: Network) -> None:
+        self.weight = 0.0
+        self.activation = 0.0
+        self.fixated = False
+        self.above_credits = 0      # credits received while at/above theta
+        self.credited_tick = -1     # last tick this element was credited
+        self._net = net._ref
+        net._live.append(self)
+
+    def __repr__(self) -> str:
+        return (f"<{self.id} weight={self.weight!r} activation={self.activation!r} "
+                f"fixated={self.fixated}>")
 
 
-@dataclass
 class Node(Element):
-    id: str = ""
-    kind: NodeKind = NodeKind.PLAIN
-    last_fired: int = -10**9
+    __slots__ = ("id", "kind", "last_fired", "_order")
+
+    def __init__(self, net: Network, node_id: str, kind: NodeKind) -> None:
+        Element.__init__(self, net)
+        self.id = node_id
+        self.kind = kind
+        self.last_fired = -10**9
+        self._order = len(net.nodes)    # creation index: fire order within a tick
 
 
-@dataclass
 class Edge(Element):
-    src: str = ""
-    dst: str = ""
+    __slots__ = ("src", "dst")
+
+    def __init__(self, net: Network, src: str, dst: str) -> None:
+        Element.__init__(self, net)
+        self.src = src
+        self.dst = dst
 
     @property
     def id(self) -> str:
         return f"{self.src}->{self.dst}"
+
+
+def _wake(element: Element, name: str, value) -> None:
+    """``__setattr__`` of a dormant element.  The first write switches it
+    back to its live class, so later writes are plain slot stores, and
+    appends it to its network's live list; then the write lands."""
+    object.__setattr__(element, "__class__", element._awake)
+    net = element._net()
+    if net is not None:
+        net._live.append(element)
+    object.__setattr__(element, name, value)
+
+
+class _DormantNode(Node):
+    __slots__ = ()
+    __setattr__ = _wake
+    _awake = Node
+
+
+class _DormantEdge(Edge):
+    __slots__ = ()
+    __setattr__ = _wake
+    _awake = Edge
+
+
+Node._dormant = _DormantNode
+Edge._dormant = _DormantEdge
+_creation_order = attrgetter("_order")
 
 
 @dataclass
@@ -183,6 +236,13 @@ class Network:
     edge always creates its reciprocal at weight 0, so traversal code can
     assume reverse reachability and filter by positive weight when it wants
     only strengthened links.
+
+    Only *live* elements can change on their own: those holding activation,
+    and non-fixated ones holding weight.  ``_live`` lists them, so a tick
+    costs O(live elements), not O(graph).  Every element is born live;
+    :meth:`end_tick` turns one that has gone idle dormant, and any attribute
+    write to a dormant element makes it live again, so callers may keep
+    setting ``weight``, ``activation`` or ``fixated`` by hand.
     """
 
     def __init__(self, params: Params | None = None, *, seed: int = 0,
@@ -196,13 +256,16 @@ class Network:
         self.inc: dict[str, dict[str, Edge]] = {}
         # relays in flight: (edge, strength, against_arrival)
         self._relays: list[tuple[Edge, int, bool]] = []
+        # live elements, in no fixed order; a list costs less memory than a set
+        self._live: list[Element] = []
+        self._ref = weakref.ref(self)
 
     # -- topology ----------------------------------------------------------
 
     def add_node(self, node_id: str, kind: NodeKind = NodeKind.PLAIN) -> Node:
         if node_id in self.nodes:
             raise TopologyError(f"node {node_id!r} already exists")
-        node = Node(id=node_id, kind=kind)
+        node = Node(self, node_id, kind)
         self.nodes[node_id] = node
         self.out[node_id] = {}
         self.inc[node_id] = {}
@@ -229,11 +292,11 @@ class Network:
             raise TopologyError(f"self-edge rejected: {src!r}")
         edge = self.out[src].get(dst)
         if edge is None:
-            edge = Edge(src=src, dst=dst)
+            edge = Edge(self, src, dst)
             self.out[src][dst] = edge
             self.inc[dst][src] = edge
             if src not in self.out[dst]:
-                back = Edge(src=dst, dst=src)
+                back = Edge(self, dst, src)
                 self.out[dst][src] = back
                 self.inc[src][dst] = back
         return edge
@@ -273,15 +336,16 @@ class Network:
 
     # -- weight and activation updates ------------------------------------
 
-    def update_weight(self, element: Element, *, boost: bool = False) -> float:
+    def update_weight(self, element: Element, *, boost: bool = False,
+                      amount: float | None = None) -> float:
         """Credit one element and return its new weight.
 
-        Below the threshold the credit is ``dw`` (times the boost multiplier
-        when contextually supported); crossing the threshold fixates the
-        element permanently.  At or above the threshold credits follow the
-        diminishing schedule ``dw * beta^k`` for the k-th such credit
-        (k = 1, 2, ...), ignoring boost.  A credited element skips weight
-        decay this tick.
+        Below the threshold the credit is ``amount`` when given, else ``dw``
+        (times the boost multiplier when contextually supported); crossing
+        the threshold fixates the element permanently.  At or above the
+        threshold credits follow the diminishing schedule ``dw * beta^k`` for
+        the k-th such credit (k = 1, 2, ...), ignoring boost and amount.  A
+        credited element skips weight decay this tick.
         """
         p = self.params
         if element.weight >= p.theta:
@@ -289,7 +353,7 @@ class Network:
             element.weight = min(p.w_max,
                                  element.weight + p.dw * p.beta ** element.above_credits)
         else:
-            step = p.dw * (p.boost if boost else 1.0)
+            step = amount if amount is not None else p.dw * (p.boost if boost else 1.0)
             element.weight = min(p.w_max, element.weight + step)
             if element.weight >= p.theta:
                 element.fixated = True
@@ -377,10 +441,10 @@ class Network:
                 rose.append(node)
             events.append(Event(tick, "deliver", node_id, value))
 
-        fired: list[Node] = []
-        for node in self.nodes.values():
-            if node.activation > 0.0 and self.fires(node):
-                fired.append(node)
+        # only live nodes hold activation; creation order keeps event order
+        fired = [node for node in self._live
+                 if node.activation > 0.0 and type(node) is Node and self.fires(node)]
+        fired.sort(key=_creation_order)
 
         for node in fired:
             drive = inbox.get(node.id, 0)
@@ -404,21 +468,39 @@ class Network:
         return events
 
     def end_tick(self) -> None:
-        """Decay phase: uncredited non-fixated weights shrink, activations fade."""
+        """Decay phase: uncredited non-fixated weights shrink, activations fade.
+
+        Visits live elements only.  One left with activation exactly +0.0
+        and nothing to decay goes dormant until its next attribute write.
+        """
         p = self.params
         tick = self.tick_count
-        for element in self.elements():
-            if not element.fixated and element.weight > 0.0 and element.credited_tick != tick:
-                element.weight = max(0.0, element.weight - p.decay_w)
-            if element.activation > 0.0:
-                element.activation *= (1.0 - p.decay_a)
+        fade = 1.0 - p.decay_a
+        live: list[Element] = []
+        for element in self._live:
+            weight = element.weight
+            plastic = not element.fixated and weight > 0.0
+            if plastic and element.credited_tick != tick:
+                element.weight = weight = max(0.0, weight - p.decay_w)
+            activation = element.activation
+            if activation > 0.0:
+                element.activation = activation = activation * fade
+            if activation > 0.0 or (plastic and weight > 0.0):
+                live.append(element)
+            elif activation == 0.0 and math.copysign(1.0, activation) > 0.0:
+                element.__class__ = element._dormant
+            else:
+                # negative, -0.0 or NaN: nightly_reset still has to clear it
+                live.append(element)
+        self._live = live
         self.tick_count += 1
 
     def quiescent(self) -> bool:
         """True when nothing is in flight and nothing can fire."""
         if self._relays:
             return False
-        return all(n.activation < self.params.fire_threshold for n in self.nodes.values())
+        threshold = self.params.fire_threshold
+        return all(e.activation < threshold for e in self._live if type(e) is Node)
 
     def nightly_reset(self) -> list[Event]:
         """Sleep consolidation: shed above-threshold excess, clear activations.
@@ -431,9 +513,12 @@ class Network:
         events: list[Event] = []
         for element in self.elements():
             if element.weight > p.theta:
-                element.weight = element.weight - (element.weight - p.theta) * p.reset_factor
-                element.above_credits = 0
-                events.append(Event(self.tick_count, "reset", element.id, element.weight))
-        for element in self.elements():
+                # a dormant element here is fixated and stays idle, so these
+                # writes go past its wake hook
+                weight = element.weight - (element.weight - p.theta) * p.reset_factor
+                object.__setattr__(element, "weight", weight)
+                object.__setattr__(element, "above_credits", 0)
+                events.append(Event(self.tick_count, "reset", element.id, weight))
+        for element in self._live:      # dormant activations are already 0.0
             element.activation = 0.0
         return events

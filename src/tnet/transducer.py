@@ -109,25 +109,6 @@ class Transducer:
             out.append(produced)
         return state, out
 
-    def step_many(self, state: State, symbols: Sequence[Symbol],
-                  rng: random.Random) -> tuple[State, list[Symbol]]:
-        """Like :meth:`run` but tuned for long streams.
-
-        Draw order matches ``run`` exactly (one uniform per step, in stream
-        order), so the two are interchangeable for replay.
-        """
-        n = len(symbols)
-        draws = [rng.random() for _ in range(n)]
-        cumulative = self._cumulative
-        out: list[Symbol] = []
-        append = out.append
-        bisect = bisect_right
-        for i in range(n):
-            cum, outcomes = cumulative(state, symbols[i])
-            state, produced = outcomes[bisect(cum, draws[i])]
-            append(produced)
-        return state, out
-
     # -- constructors ------------------------------------------------------
 
     @classmethod

@@ -82,6 +82,35 @@ def test_config_bad_param_section_is_named():
                              "chunker": {"l_min": 0}})
 
 
+def _run_exit_code(tmp_path, capsys, text: str) -> tuple[int, str]:
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text, encoding="utf-8")
+    code = main(["run", "--config", str(cfg)])
+    return code, capsys.readouterr().err
+
+
+def test_cli_names_non_numeric_hebbian_reps(tmp_path, capsys):
+    code, err = _run_exit_code(tmp_path, capsys,
+                               "kind: hebbian\nhebbian: {a: x, b: y, reps: lots}\n")
+    assert code == 1 and "hebbian.reps" in err
+
+
+def test_cli_names_non_numeric_hebbian_gap_ticks(tmp_path, capsys):
+    code, err = _run_exit_code(tmp_path, capsys,
+                               "kind: hebbian\nhebbian: {a: x, b: y, gap_ticks: [1]}\n")
+    assert code == 1 and "hebbian.gap_ticks" in err
+
+
+def test_cli_names_non_numeric_predict_trials(tmp_path, capsys):
+    code, err = _run_exit_code(tmp_path, capsys, "kind: predict\npredict: {trials: many}\n")
+    assert code == 1 and "predict.trials" in err
+
+
+def test_cli_names_non_numeric_predict_probability(tmp_path, capsys):
+    code, err = _run_exit_code(tmp_path, capsys, "kind: predict\npredict: {probability: high}\n")
+    assert code == 1 and "predict.probability" in err
+
+
 def test_config_requires_corpus_for_segment():
     with pytest.raises(ConfigError, match="corpus"):
         ExperimentConfig(kind="segment")

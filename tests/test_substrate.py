@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnet.errors import FixationError, TopologyError
+from tnet.harness import snapshot_from_net, snapshot_json
 from tnet.substrate import (
+    SIGNAL_MAX,
+    Edge,
+    Event,
     FiringMode,
     Network,
+    Node,
     NodeKind,
     Params,
     activation_gain,
@@ -121,6 +129,16 @@ def test_below_threshold_credit_and_fixation():
     # third credit crosses theta=1.0 and fixates permanently
     assert net.update_weight(node) == pytest.approx(1.2)
     assert node.fixated
+
+
+def test_explicit_amount_replaces_below_threshold_credit():
+    net = make_net()
+    node = net.add_node("n")
+    assert net.update_weight(node, amount=0.3) == pytest.approx(0.3)
+    assert net.update_weight(node, amount=0.9) == pytest.approx(1.2)
+    assert node.fixated
+    # at or above theta the diminishing schedule ignores the amount
+    assert net.update_weight(node, amount=0.9) == pytest.approx(1.2 + 0.4 * 0.5)
 
 
 def test_boost_doubles_below_threshold_credit():
@@ -319,3 +337,244 @@ def test_signal_out_stays_in_band(sig, w, a):
 @settings(max_examples=100)
 def test_counter_uniform_unit_interval(seed, tick):
     assert 0.0 <= counter_uniform(seed, "e", tick) < 1.0
+
+
+# ---------------------------------------------------------------------------
+# live set: the active-set tick against a full-scan reference
+# ---------------------------------------------------------------------------
+
+class FullScanNetwork(Network):
+    """Reference: the clock-driven tick that visits every node and edge.
+
+    Its ``end_tick`` never puts an element to sleep, so every write is a
+    plain store and every scan below covers the whole graph.
+    """
+
+    def tick(self, external=None):
+        p = self.params
+        events = []
+        tick = self.tick_count
+        inbox = {}
+        arrived_from = {}
+        rose = []
+        for edge, strength, against in self._relays:
+            echo = against or self.nodes[edge.dst].activation >= p.fire_threshold
+            out = signal_back(strength, p) if echo else signal_out(
+                strength, edge.weight, edge.activation, p)
+            if out == 0:
+                continue
+            if self.bump_activation(edge, out):
+                rose.append(edge)
+            events.append(Event(tick, "relay", edge.id, out))
+            inbox[edge.dst] = clamp_signal(inbox.get(edge.dst, 0) + out)
+            arrived_from.setdefault(edge.dst, set()).add(edge.src)
+        self._relays = []
+        if external:
+            for node_id, value in external.items():
+                inbox[node_id] = clamp_signal(inbox.get(node_id, 0) + value)
+        for node_id, value in inbox.items():
+            node = self.nodes[node_id]
+            if self.bump_activation(node, value):
+                rose.append(node)
+            events.append(Event(tick, "deliver", node_id, value))
+        fired = [node for node in self.nodes.values()
+                 if node.activation > 0.0 and self.fires(node)]
+        for node in fired:
+            drive = inbox.get(node.id, 0)
+            if drive == 0:
+                drive = max(1, round(SIGNAL_MAX * node.activation / p.a_max))
+            emitted = signal_out(drive, node.weight, node.activation, p)
+            events.append(Event(tick, "fire", node.id, emitted))
+            came_from = arrived_from.get(node.id, ())
+            for dst, edge in self.out[node.id].items():
+                self._relays.append((edge, emitted, dst in came_from))
+            node.last_fired = tick
+        for element in rose:
+            boost = isinstance(element, Edge) and self.nodes[element.dst].fixated
+            new_w = self.update_weight(element, boost=boost)
+            events.append(Event(tick, "update", element.id, new_w))
+        self.end_tick()
+        return events
+
+    def end_tick(self):
+        p = self.params
+        tick = self.tick_count
+        for element in self.elements():
+            if not element.fixated and element.weight > 0.0 and element.credited_tick != tick:
+                element.weight = max(0.0, element.weight - p.decay_w)
+            if element.activation > 0.0:
+                element.activation *= (1.0 - p.decay_a)
+        self.tick_count += 1
+
+    def quiescent(self):
+        if self._relays:
+            return False
+        return all(n.activation < self.params.fire_threshold for n in self.nodes.values())
+
+    def nightly_reset(self):
+        p = self.params
+        events = []
+        for element in self.elements():
+            if element.weight > p.theta:
+                element.weight = element.weight - (element.weight - p.theta) * p.reset_factor
+                element.above_credits = 0
+                events.append(Event(self.tick_count, "reset", element.id, element.weight))
+        for element in self.elements():
+            element.activation = 0.0
+        return events
+
+
+weights = st.sampled_from([0.0, 0.2, 1.0, 1.7, 3.0]) | st.floats(0.0, 3.0)
+activations = st.sampled_from([0.0, 0.0, 0.6, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def random_nets(draw):
+    """Node records, edge records over them (cycles allowed, each entry
+    ``(src, dst, weight, activation, fixated)``) and the firing mode."""
+    n = draw(st.integers(2, 7))
+    nodes = [(f"n{i}", draw(st.booleans()), draw(weights), draw(activations),
+              draw(st.booleans())) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(n) if i != j]
+    chosen = draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True))
+    edges = [(f"n{i}", f"n{j}", draw(weights), draw(activations), draw(st.booleans()))
+             for i, j in chosen]
+    return nodes, edges, draw(st.sampled_from(list(FiringMode)))
+
+
+def build(cls, spec, seed):
+    nodes, edges, mode = spec
+    net = cls(Params(), seed=seed, mode=mode)
+    for node_id, sensory, weight, activation, fixated in nodes:
+        node = net.add_node(node_id, NodeKind.SENSORY if sensory else NodeKind.PLAIN)
+        node.weight, node.activation, node.fixated = weight, activation, fixated
+    for src, dst, weight, activation, fixated in edges:
+        edge = net.ensure_edge(src, dst)
+        edge.weight, edge.activation, edge.fixated = weight, activation, fixated
+    return net
+
+
+def steps(spec):
+    """Ticks with sensor input, bare decays, resets and direct writes."""
+    nodes, edges, _ = spec
+    sensors = [rec[0] for rec in nodes if rec[1]]
+    ids = [rec[0] for rec in nodes] + [(src, dst) for src, dst, *_ in edges]
+    inputs = (st.dictionaries(st.sampled_from(sensors), st.integers(-3, 3))
+              if sensors else st.just({}))
+    writes = st.one_of(
+        st.tuples(st.just("weight"), weights),
+        st.tuples(st.just("activation"), activations),
+        st.tuples(st.just("fixated"), st.booleans()),
+        st.tuples(st.just("above_credits"), st.integers(0, 3)))
+    return st.lists(st.one_of(
+        st.tuples(st.just("tick"), inputs),
+        st.tuples(st.just("end_tick"), st.none()),
+        st.tuples(st.just("reset"), st.none()),
+        st.tuples(st.just("write"), st.tuples(st.sampled_from(ids), writes)),
+    ), max_size=40)
+
+
+def element_of(net, key):
+    return net.node(key) if isinstance(key, str) else net.edge(*key)
+
+
+def full_state(net):
+    rows = [(n.id, n.above_credits, n.credited_tick, n.last_fired) for n in net.nodes.values()]
+    rows += [(e.id, e.above_credits, e.credited_tick) for e in net.edges()]
+    return snapshot_json(snapshot_from_net(net, net.seed)), rows, net.quiescent()
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_active_set_matches_full_scan(data):
+    spec = data.draw(random_nets())
+    seed = data.draw(st.integers(0, 2**16))
+    fast, slow = build(Network, spec, seed), build(FullScanNetwork, spec, seed)
+    assert full_state(fast) == full_state(slow)
+    for kind, arg in data.draw(steps(spec)):
+        if kind == "tick":
+            got, want = fast.tick(arg), slow.tick(arg)
+        elif kind == "end_tick":
+            got, want = fast.end_tick(), slow.end_tick()
+        elif kind == "reset":
+            got, want = fast.nightly_reset(), slow.nightly_reset()
+        else:
+            key, (attr, value) = arg
+            setattr(element_of(fast, key), attr, value)
+            setattr(element_of(slow, key), attr, value)
+            got = want = None
+        assert got == want
+        assert full_state(fast) == full_state(slow)
+        # nothing outside the live list can change on its own
+        live = set(map(id, fast._live))
+        for element in fast.elements():
+            if id(element) not in live:
+                assert element.activation == 0.0
+                assert element.fixated or element.weight <= 0.0
+                assert type(element) not in (Node, Edge)
+
+
+def idle_ring(n: int) -> Network:
+    """A fixated ring of ``n`` nodes with no activation anywhere."""
+    net = make_net()
+    for i in range(n):
+        node = net.add_node(f"r{i}")
+        node.weight, node.fixated = 1.5, True
+    for i in range(n):
+        edge = net.ensure_edge(f"r{i}", f"r{(i + 1) % n}")
+        edge.weight, edge.fixated = 1.5, True
+    return net
+
+
+def test_idle_elements_leave_the_live_list():
+    net = idle_ring(50)
+    assert len(net._live) == 150          # every element is born live
+    net.end_tick()
+    assert net._live == []
+    node = net.node("r3")
+    node.activation = 0.9                 # a direct write wakes it
+    assert net._live == [node] and type(node) is Node
+    node.activation = 0.8                 # once only
+    assert net._live == [node]
+    events = net.tick()
+    assert [e.kind for e in events] == ["fire"]
+    assert {e.id for e in net._live} == {"r3"}
+    net.tick()                            # the relay lands and wakes r3->r4 and r4
+    assert {e.id for e in net._live} >= {"r3->r4", "r4"}
+
+
+def test_fire_events_keep_node_creation_order():
+    net = idle_ring(8)
+    net.end_tick()
+    for node_id in ("r6", "r2", "r4"):   # woken out of creation order
+        net.node(node_id).activation = 0.9
+    fired = [e.element for e in net.tick() if e.kind == "fire"]
+    assert fired == ["r2", "r4", "r6"]
+
+
+def test_tick_cost_follows_live_elements_not_graph_size():
+    """An idle graph's tick visits only what the external input touches."""
+    visited = []
+    for n in (20, 2000):
+        net = idle_ring(n)
+        net.add_node("s", NodeKind.SENSORY).weight = 1.0
+        net.tick()
+        net.tick({"s": 2})
+        visited.append(len(net._live))
+    assert visited[0] == visited[1] == 1
+
+
+def test_dropped_network_is_freed_and_orphans_accept_writes():
+    net = idle_ring(3)
+    net.end_tick()
+    node, edge = net.node("r0"), net.edge("r0", "r1")
+    ref = weakref.ref(net)
+    gc.disable()
+    try:
+        del net
+        assert ref() is None              # freed by refcount, no cycle
+    finally:
+        gc.enable()
+    node.activation = 0.5                 # the dormant hook must not raise
+    edge.weight = 2.0
+    assert node.activation == 0.5 and edge.weight == 2.0

@@ -77,15 +77,6 @@ def test_step_consumes_exactly_one_draw():
     assert rng_a.random() == rng_b.random()
 
 
-def test_step_many_matches_run_draw_for_draw():
-    t = random_transducer(random.Random(2), 4, "abc", "xyz")
-    symbols = "".join(random.Random(3).choice("abc") for _ in range(500))
-    state_a, out_a = t.run(0, symbols, random.Random(7))
-    state_b, out_b = t.step_many(0, symbols, random.Random(7))
-    assert state_a == state_b
-    assert out_a == out_b
-
-
 def test_step_frequencies_match_distribution():
     t = random_transducer(random.Random(5), 2, "a", "xy")
     rng = random.Random(11)
