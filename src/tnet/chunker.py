@@ -21,6 +21,9 @@ segmentation competes against forgetting exactly like everything else.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from collections import Counter
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 from itertools import combinations
 
@@ -78,6 +81,23 @@ class Candidate:
     leftmost: int
 
 
+class _Window:
+    """A buffer snapshot split into its tick list and its text.
+
+    Buffer ticks strictly increase, so the symbols of a tick range are one
+    slice of the text, found by bisecting the ticks.
+    """
+    __slots__ = ("ticks", "text")
+
+    def __init__(self, window: list[tuple[int, str]]) -> None:
+        self.ticks = [t for t, _ in window]
+        self.text = "".join(sym for _, sym in window)
+
+    def between(self, start: int, end: int) -> str:
+        """The symbols at ticks ``start..end``, both ends included."""
+        return self.text[bisect_left(self.ticks, start):bisect_right(self.ticks, end)]
+
+
 @dataclass
 class _Prefix:
     """State of the active label-walking match."""
@@ -90,19 +110,28 @@ class _Prefix:
 # standalone operations
 # ---------------------------------------------------------------------------
 
-def _tilings(text: str, l_min: int) -> list[tuple[str, ...]]:
-    """All partitions of ``text`` into blocks of length >= l_min, lex order."""
+def _tilings(text: str, l_min: int) -> Iterator[tuple[str, ...]]:
+    """All partitions of ``text`` into blocks of length >= l_min, lex order
+    (shortest first block first).
+
+    The tilings of every proper suffix are built once, bottom-up; those of
+    the whole text are streamed from them.
+    """
     n = len(text)
     if n == 0:
-        return [()]
-    out: list[tuple[str, ...]] = []
-    for cut in range(l_min, n + 1):
-        if n - cut != 0 and n - cut < l_min:
-            continue
-        head = text[:cut]
-        for rest in _tilings(text[cut:], l_min):
-            out.append((head,) + rest)
-    return out
+        return iter([()])
+    suffixes: list[list[tuple[str, ...]]] = [[] for _ in range(n)] + [[()]]
+
+    def extend(i: int) -> Iterator[tuple[str, ...]]:
+        for j in range(i + l_min, n + 1):
+            if j == n or n - j >= l_min:
+                head = text[i:j]
+                for rest in suffixes[j]:
+                    yield (head,) + rest
+
+    for i in range(n - l_min, 0, -1):
+        suffixes[i] = list(extend(i))
+    return extend(0)
 
 
 @dataclass
@@ -124,31 +153,54 @@ def decompose_units(text_a: str, text_b: str, l_min: int) -> Decomposition | Non
     what rejects e.g. a shared "8136" between "98136"/"28136" in favour of
     the shared "136" with residues "98"/"28".  Returns None when no tiling
     shares anything.  Ties prefer more shared blocks, then leftmost (lex
-    enumeration order).
+    enumeration order: ``text_a``'s tiling first, then ``text_b``'s).
+
+    The search is exhaustive, but it skips what cannot change the answer.
+    A pairing's outcome depends only on the multiset of blocks the two
+    tilings could share, so a tiling whose multiset an earlier tiling of
+    the same side already had is dropped: the earlier one wins every tie.
+    Each tiling of ``text_a`` is paired only with the tilings of ``text_b``
+    that hold one of its blocks, in enumeration order, and is skipped
+    outright when even sharing all such blocks could not beat the best
+    pairing so far.
     """
     if text_a == text_b:
         block = (text_a,)
         return Decomposition(block, block, block)
+    tilings_b: list[tuple[str, ...]] = []
+    counts_b: list[Counter[str]] = []
+    holders: dict[str, list[int]] = {}       # block -> tilings of b holding it
+    seen: set[tuple[str, ...]] = set()
+    for tb in _tilings(text_b, l_min):
+        key = tuple(sorted(block for block in tb if block in text_a))
+        if key and key not in seen:
+            seen.add(key)
+            for block in dict.fromkeys(key):
+                holders.setdefault(block, []).append(len(tilings_b))
+            tilings_b.append(tb)
+            counts_b.append(Counter(key))
     best: Decomposition | None = None
+    best_len = best_count = 0
+    seen.clear()
     for ta in _tilings(text_a, l_min):
-        counts_a: dict[str, int] = {}
-        for b in ta:
-            counts_a[b] = counts_a.get(b, 0) + 1
-        for tb in _tilings(text_b, l_min):
-            counts_b: dict[str, int] = {}
-            for b in tb:
-                counts_b[b] = counts_b.get(b, 0) + 1
-            shared: list[str] = []
-            for block, k in counts_a.items():
-                shared.extend([block] * min(k, counts_b.get(block, 0)))
-            if not shared:
-                continue
-            cand = Decomposition(ta, tb, tuple(sorted(shared)))
-            if (best is None
-                    or cand.shared_length > best.shared_length
-                    or (cand.shared_length == best.shared_length
-                        and len(cand.shared) > len(best.shared))):
-                best = cand
+        key = tuple(sorted(block for block in ta if block in holders))
+        if not key or key in seen:
+            continue
+        seen.add(key)
+        counts_a = Counter(key)
+        bound_len = sum(map(len, key))
+        if bound_len < best_len or (bound_len == best_len and len(key) <= best_count):
+            continue
+        for k in sorted(set().union(*(holders[b] for b in counts_a))):
+            counts = counts_b[k]
+            shared = [block for block, m in counts_a.items()
+                      for _ in range(min(m, counts.get(block, 0)))]
+            length = sum(map(len, shared))
+            if length > best_len or (length == best_len and len(shared) > best_count):
+                best_len, best_count = length, len(shared)
+                best = Decomposition(ta, tilings_b[k], tuple(sorted(shared)))
+                if (length, len(shared)) == (bound_len, len(key)):
+                    break
     return best
 
 
@@ -499,42 +551,37 @@ class Chunker:
                 return sym
         raise TopologyError(f"tick {tick} evicted from buffer")
 
-    def _text_between(self, window: list[tuple[int, str]], start: int, end: int) -> str:
-        return "".join(sym for t, sym in window if start <= t <= end)
-
-    def _occurs_earlier(self, span_start: int, span_end: int) -> bool:
+    def _occurs_earlier(self, view: _Window, span_start: int, span_end: int) -> bool:
         """Is there a non-overlapping earlier copy of the span, after the
         boundary, inside the window?"""
-        text = self._text_between(self.buf, span_start, span_end)
+        ticks = view.ticks
+        text = view.between(span_start, span_end)
         length = span_end - span_start + 1
-        ticks = [t for t, _ in self.buf]
-        for i in range(len(ticks)):
-            t0 = ticks[i]
-            if t0 <= self.boundary:
-                continue
-            t1 = t0 + length - 1
+        for i in range(bisect_right(ticks, self.boundary), len(ticks)):
+            t1 = ticks[i] + length - 1
             if t1 >= span_start:
                 break
-            if self._text_between(self.buf, t0, t1) == text and t1 - t0 + 1 == length:
+            if view.text[i:bisect_right(ticks, t1, i)] == text:
                 return True
         return False
 
     def _raw_step(self, symbol: str, tick: int) -> None:
         l_min = self.cp.l_min
+        view = _Window(self.buf)
         survivors: list[int] = []
         proposal: str | None = None
         for start in self.raw_starts:
             if start <= self.boundary:
                 continue
-            if self._occurs_earlier(start, tick):
+            if self._occurs_earlier(view, start, tick):
                 survivors.append(start)
                 continue
             dead_len = tick - start        # span without the new symbol
             if dead_len >= l_min:
-                pattern = self._text_between(self.buf, start, tick - 1)
+                pattern = view.between(start, tick - 1)
                 if len(pattern) == dead_len and (proposal is None or dead_len > len(proposal)):
                     proposal = pattern
-        if tick > self.boundary and self._occurs_earlier(tick, tick):
+        if tick > self.boundary and self._occurs_earlier(view, tick, tick):
             survivors.append(tick)
         self.raw_starts = survivors
 
@@ -562,7 +609,8 @@ class Chunker:
         if pattern is None:
             return
         length = len(pattern)
-        ticks = [t for t, _ in window]
+        view = _Window(window)
+        ticks = view.ticks
         pos = 0
         while pos < len(ticks):
             t0 = ticks[pos]
@@ -570,7 +618,7 @@ class Chunker:
                 pos += 1
                 continue
             t1 = t0 + length - 1
-            if self._text_between(window, t0, t1) == pattern and t1 <= ticks[-1]:
+            if view.between(t0, t1) == pattern and t1 <= ticks[-1]:
                 self._commit(Commit(pattern, t0, t1))
                 pos += length
             else:
@@ -597,14 +645,6 @@ class Chunker:
         if node.fixated and occurrence:
             self._log("fixate", label, node.weight)
 
-    def _preceded_by_fixated(self, start: int) -> bool:
-        for commit in self.chain:
-            if commit.end == start - 1:
-                node = self.net.nodes.get(commit.label)
-                if node is not None and node.fixated:
-                    return True
-        return False
-
     def _commit(self, occurrence: Commit) -> None:
         """Book one chunk occurrence: credit, record, advance the boundary."""
         if occurrence.start <= self.boundary:
@@ -612,7 +652,8 @@ class Chunker:
         net = self.net
         self._ensure_chunk(occurrence.label)
         node = net.node(occurrence.label)
-        boost = node.weight < net.params.theta and self._preceded_by_fixated(occurrence.start)
+        boost = (node.weight < net.params.theta
+                 and self._preceded_by_fixated_entry(self.chain, occurrence.start))
         # the gap this commit closes off becomes a pending unit
         if self.chain and occurrence.start > self.chain[-1].end + 1:
             self._record_gap_unit(self.chain[-1].end + 1, occurrence.start - 1)
@@ -623,7 +664,7 @@ class Chunker:
     def _record_gap_unit(self, start: int, end: int) -> None:
         ticks = self._trim_noise(start, end, self.buf)
         if ticks and ticks[-1] - ticks[0] + 1 >= self.cp.l_min:
-            text = self._text_between(self.buf, ticks[0], ticks[-1])
+            text = _Window(self.buf).between(ticks[0], ticks[-1])
             if len(text) == ticks[-1] - ticks[0] + 1:
                 self.pending_units.append(Unit(text, ticks[0], ticks[-1]))
 
@@ -710,7 +751,7 @@ class Chunker:
         units = list(self.pending_units)
         self.pending_units = []
         if tail and tail[-1] - tail[0] + 1 >= self.cp.l_min:
-            text = self._text_between(window, tail[0], tail[-1])
+            text = _Window(window).between(tail[0], tail[-1])
             if len(text) == tail[-1] - tail[0] + 1:
                 units.append(Unit(text, tail[0], tail[-1]))
 
@@ -727,12 +768,13 @@ class Chunker:
         tilings: dict[str, tuple[str, ...]] = {}
         while True:
             undecided = [text for text in sorted(groups) if text not in tilings]
+            if not undecided:
+                break
+            traces = [trace for trace in sorted(self._positive_labels())
+                      if not net.node(trace).fixated and trace not in groups]
             best: tuple | None = None
             for text in undecided:
-                for trace in sorted(self._positive_labels()):
-                    node = net.node(trace)
-                    if node.fixated or trace == text or trace in groups:
-                        continue
+                for trace in traces:
                     dec = decompose_units(text, trace, self.cp.l_min)
                     if dec is None or len(dec.blocks_a) == 1:
                         continue

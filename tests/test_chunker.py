@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import random
 import string
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tnet.chunker import (
     Chunker,
     ChunkerParams,
+    Decomposition,
+    _Window,
     allocate_chunk_node,
     decompose_units,
     find_candidates,
@@ -84,6 +88,124 @@ def test_decompose_self_is_total(text):
     d = decompose_units(text, text, l_min=2)
     assert d is not None
     assert d.shared_length == len(text)
+
+
+def enumerating_tilings(text: str, l_min: int) -> list[tuple[str, ...]]:
+    """Reference: every tiling of ``text``, recursively, in lex order."""
+    n = len(text)
+    if n == 0:
+        return [()]
+    out = []
+    for cut in range(l_min, n + 1):
+        if n - cut != 0 and n - cut < l_min:
+            continue
+        for rest in enumerating_tilings(text[cut:], l_min):
+            out.append((text[:cut],) + rest)
+    return out
+
+
+def enumerating_decompose(text_a: str, text_b: str, l_min: int) -> Decomposition | None:
+    """Reference: ``decompose_units`` as a plain loop over every pair of tilings."""
+    if text_a == text_b:
+        return Decomposition((text_a,), (text_a,), (text_a,))
+    best = None
+    for ta in enumerating_tilings(text_a, l_min):
+        counts_a: dict[str, int] = {}
+        for block in ta:
+            counts_a[block] = counts_a.get(block, 0) + 1
+        for tb in enumerating_tilings(text_b, l_min):
+            counts_b: dict[str, int] = {}
+            for block in tb:
+                counts_b[block] = counts_b.get(block, 0) + 1
+            shared: list[str] = []
+            for block, k in counts_a.items():
+                shared.extend([block] * min(k, counts_b.get(block, 0)))
+            if not shared:
+                continue
+            cand = Decomposition(ta, tb, tuple(sorted(shared)))
+            if (best is None or cand.shared_length > best.shared_length
+                    or (cand.shared_length == best.shared_length
+                        and len(cand.shared) > len(best.shared))):
+                best = cand
+    return best
+
+
+@st.composite
+def unit_pairs(draw):
+    alphabet = "abcd"[:draw(st.integers(1, 4))]
+    text = st.text(alphabet=alphabet, min_size=0, max_size=12)
+    return draw(text), draw(text), draw(st.sampled_from((2, 3)))
+
+
+@given(pair=unit_pairs())
+@example(pair=("baaabaaabbb", "aaabbbabbbab", 2))   # equal length, more blocks wins late
+@settings(max_examples=300, deadline=None)
+def test_decompose_matches_enumerating_reference(pair):
+    text_a, text_b, l_min = pair
+    got = decompose_units(text_a, text_b, l_min)
+    want = enumerating_decompose(text_a, text_b, l_min)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None
+        assert (got.blocks_a, got.blocks_b, got.shared) == (want.blocks_a, want.blocks_b, want.shared)
+
+
+def test_decompose_random_18_symbol_pair_within_budget():
+    # two 18-symbol units have 1597 x 1597 tiling pairs; the all-pairs loop
+    # above took about 18 s on them on a shared 2-vCPU machine
+    rng = random.Random(18)
+    text_a, text_b = ("".join(rng.choice("abcdefgh") for _ in range(18)) for _ in range(2))
+    start = time.perf_counter()
+    dec = decompose_units(text_a, text_b, 2)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"runtime {elapsed:.2f}s over 1.0s budget"
+    assert dec is None or sum(map(len, dec.blocks_a)) == 18
+
+
+# ---------------------------------------------------------------------------
+# buffer span lookups
+# ---------------------------------------------------------------------------
+
+def joined_between(window: list[tuple[int, str]], start: int, end: int) -> str:
+    """Reference: join the symbols whose tick lies in ``start..end``."""
+    return "".join(sym for t, sym in window if start <= t <= end)
+
+
+def scanned_occurs_earlier(buf: list[tuple[int, str]], boundary: int,
+                           span_start: int, span_end: int) -> bool:
+    """Reference: probe every start after the boundary, joining over the window."""
+    text = joined_between(buf, span_start, span_end)
+    length = span_end - span_start + 1
+    for t0, _ in buf:
+        if t0 <= boundary:
+            continue
+        t1 = t0 + length - 1
+        if t1 >= span_start:
+            break
+        if joined_between(buf, t0, t1) == text:
+            return True
+    return False
+
+
+@given(steps=st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 2)), max_size=40))
+@settings(max_examples=60, deadline=None)
+def test_span_lookups_match_window_scan_across_tick_gaps(steps):
+    net = make_net()
+    chunker = Chunker(net, ChunkerParams(buffer_len=8))
+    for symbol, gap in steps:
+        for _ in range(gap):
+            net.end_tick()            # a tick with no symbol: a hole in the buffer
+        chunker.observe(symbol)
+        buf = chunker.buf
+        view = _Window(buf)
+        ticks = range(buf[0][0] - 1, buf[-1][0] + 2)
+        for start in ticks:
+            for end in ticks:
+                assert view.between(start, end) == joined_between(buf, start, end)
+                if start <= end:
+                    assert (chunker._occurs_earlier(view, start, end)
+                            == scanned_occurs_earlier(buf, chunker.boundary, start, end))
 
 
 # ---------------------------------------------------------------------------
