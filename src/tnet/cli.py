@@ -35,7 +35,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p = sub.add_parser("run", help="run an experiment from a config file")
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--seed", type=int, default=None)
-    run_p.add_argument("--deterministic", action="store_true", default=None)
+    run_p.add_argument("--deterministic", action=argparse.BooleanOptionalAction,
+                       default=None, help="override the config's firing mode")
     run_p.add_argument("--out", default=None, help="snapshot path")
     run_p.add_argument("--log", default=None, help="event log path")
 
@@ -62,8 +63,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
-    if args.deterministic:
-        cfg = replace(cfg, deterministic=True)
+    if args.deterministic is not None:
+        cfg = replace(cfg, deterministic=args.deterministic)
     if args.out is not None:
         cfg = replace(cfg, out=args.out)
     if args.log is not None:

@@ -15,12 +15,10 @@ from dataclasses import asdict, dataclass, field
 from itertools import product
 from pathlib import Path
 
-import yaml
-
 from .chunker import Chunker, ChunkerParams
 from .errors import ConfigError, TnetError
 from .learning import InnateSpec, hebbian_episode, inject_innate
-from .planner import PathQuery, PlannerParams, decide, plan
+from .planner import POLICIES, PathQuery, PlannerParams, decide, plan
 from .predictor import build_motif, trial
 from .substrate import FiringMode, Network, NodeKind, Params, counter_uniform
 
@@ -149,15 +147,23 @@ def _build_innate(data: dict) -> InnateSpec:
     return InnateSpec(nodes=nodes, edges=edges, reward_bindings=rewards)
 
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Load and validate an experiment config; diagnostics name the field."""
+def _load_yaml(path: str | Path, what: str):
+    """Parse a YAML file; ``what`` names it in errors.  ``yaml`` is imported
+    here, so that importing tnet does not load it."""
+    import yaml
+
     path = Path(path)
     if not path.exists():
-        raise ConfigError(f"config file not found: {path}")
+        raise ConfigError(f"{what} file not found: {path}")
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        return yaml.safe_load(path.read_text(encoding="utf-8"))
     except yaml.YAMLError as exc:
-        raise ConfigError(f"config parse error: {exc}") from exc
+        raise ConfigError(f"{what} parse error: {exc}") from exc
+
+
+def load_config(path: str | Path) -> ExperimentConfig:
+    """Load and validate an experiment config; diagnostics name the field."""
+    raw = _load_yaml(path, "config")
     return config_from_mapping(raw if raw is not None else {})
 
 
@@ -362,6 +368,8 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
         except KeyError as exc:
             raise ConfigError(f"plan: missing field {exc}") from exc
         policy = section.get("policy", "absolute")
+        if policy not in POLICIES:
+            raise ConfigError(f"plan.policy: expected one of {POLICIES}, got {policy!r}")
         if section.get("full_plan", True):
             for i, hop in enumerate(plan(net, query, cfg.planner, policy)):
                 events.append((net.tick_count, "commit", hop, float(i)))
@@ -453,13 +461,7 @@ def write_sweep_table(rows: list[dict], path: str | Path) -> None:
 
 
 def load_grid(path: str | Path) -> dict[str, list]:
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"grid file not found: {path}")
-    try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
-    except yaml.YAMLError as exc:
-        raise ConfigError(f"grid parse error: {exc}") from exc
+    raw = _load_yaml(path, "grid")
     if raw is None:
         return {}
     if not isinstance(raw, dict) or not all(isinstance(v, list) for v in raw.values()):

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 from .errors import TopologyError
 from .substrate import FiringMode, Network, NodeKind, counter_uniform
 
-_PRUNE = 1e-9   # stop expanding a path when its contribution drops below this
+_PRUNE = 1e-9   # on cyclic graphs, stop a path when its contribution drops below this
+POLICIES = ("absolute", "relative")
 
 
 @dataclass
@@ -83,38 +84,123 @@ def _reachable(net: Network, source: str, goal: str) -> bool:
     return False
 
 
+_Hop = tuple[str, float, float]     # (other node, hop factor, node factor)
+
+
+def _relay(net: Network, start: str, *, backward: bool, use_forward_weight: bool,
+           absorb: frozenset[str]) -> tuple[dict[str, list[_Hop]], list[str] | None]:
+    """Walk the subgraph that can relay one seed's flow.
+
+    Returns each expanded node's hops that pass a positive share (both
+    factors > 0), in neighbour order, and a topological order of the
+    expanded nodes, or None when the walk meets a cycle.  Hops back into
+    ``start`` are dropped, since no simple path revisits it; nodes in
+    ``absorb`` are reached but not expanded.
+    """
+    w_max = net.params.w_max
+    nodes = net.nodes
+    out = net.out
+    adjacency = net.inc if backward else out
+    reciprocal = backward and not use_forward_weight
+
+    def hops_of(node_id: str) -> list[_Hop]:
+        found = []
+        for other, edge in adjacency[node_id].items():
+            if other == start:
+                continue
+            if reciprocal:
+                # the reciprocal edge carries the returning signal
+                hop = out[node_id].get(other)
+                hop_w = hop.weight if hop is not None else 0.0
+            else:
+                hop_w = edge.weight
+            a = hop_w / w_max
+            b = nodes[other].weight / w_max
+            if a > 0.0 and b > 0.0:
+                found.append((other, a, b))
+        return found
+
+    hops = {start: hops_of(start)}
+    on_path = {start}
+    finished: list[str] = []
+    acyclic = True
+    stack = [(start, iter(hops[start]))]
+    while stack:
+        node_id, pending = stack[-1]
+        for other, _, _ in pending:
+            if other in on_path:
+                acyclic = False
+            elif other not in hops and other not in absorb:
+                hops[other] = hops_of(other)
+                on_path.add(other)
+                stack.append((other, iter(hops[other])))
+                break
+        else:
+            stack.pop()
+            on_path.discard(node_id)
+            finished.append(node_id)
+    return hops, (finished[::-1] if acyclic else None)
+
+
 def _spread(net: Network, acts: dict[str, float], start: str, amount: float,
             *, backward: bool, use_forward_weight: bool,
             absorb: frozenset[str] = frozenset()) -> None:
     """Accumulate one seed's contribution over all simple paths from it.
 
     Nodes in ``absorb`` receive flow but do not relay it onward: the source
-    absorbs returning value signals, the goal absorbs arriving drive.
+    absorbs returning value signals, the goal absorbs arriving drive.  When
+    the relaying subgraph is acyclic every path is simple, and the sum over
+    paths is pushed through it once in topological order.  On a cyclic one
+    the simple paths are enumerated, each cut once its contribution drops
+    below ``_PRUNE``.  Every contribution is non-negative, so clamping the
+    sum at ``a_max`` once equals clamping after each path.
     """
-    p = net.params
-    w_max = p.w_max
+    a_max = net.params.a_max
+    acts[start] = min(a_max, acts.get(start, 0.0) + amount)
+    hops, order = _relay(net, start, backward=backward,
+                         use_forward_weight=use_forward_weight, absorb=absorb)
+    if order is not None:
+        flow = {start: amount}
+        for node_id in order:
+            f = flow[node_id]
+            for other, a, b in hops[node_id]:
+                flow[other] = flow.get(other, 0.0) + f * a * b
+        del flow[start]
+        for node_id, f in flow.items():
+            acts[node_id] = min(a_max, acts.get(node_id, 0.0) + f)
+        return
 
-    def visit(node_id: str, contribution: float, seen: frozenset[str]) -> None:
-        neighbours = net.inc[node_id] if backward else net.out[node_id]
-        for other, edge in neighbours.items():
+    # A receiver at a_max stays there (later shares only add), so once every
+    # receiver is there the rest of the enumeration cannot change ``acts``.
+    unsettled = {other for node_hops in hops.values() for other, _, _ in node_hops
+                 if acts.get(other) != a_max}
+    seen = {start}
+
+    def visit(node_id: str, contribution: float) -> bool:
+        """Relay along every simple extension; True once all are settled."""
+        for other, a, b in hops[node_id]:
             if other in seen:
                 continue
-            if backward and not use_forward_weight:
-                # the reciprocal edge carries the returning signal
-                hop = net.out[node_id].get(other)
-                hop_w = hop.weight if hop is not None else 0.0
-            else:
-                hop_w = edge.weight
-            passed = (contribution * (hop_w / w_max)
-                      * (net.nodes[other].weight / w_max))
+            passed = contribution * a * b
             if passed < _PRUNE:
                 continue
-            acts[other] = min(p.a_max, acts.get(other, 0.0) + passed)
+            level = acts.get(other, 0.0) + passed
+            if level < a_max:
+                acts[other] = level
+            else:
+                acts[other] = a_max
+                unsettled.discard(other)
+                if not unsettled:
+                    return True
             if other not in absorb:
-                visit(other, passed, seen | {other})
+                seen.add(other)
+                settled = visit(other, passed)
+                seen.discard(other)
+                if settled:
+                    return True
+        return False
 
-    acts[start] = min(p.a_max, acts.get(start, 0.0) + amount)
-    visit(start, amount, frozenset([start]))
+    visit(start, amount)
 
 
 def _run_pass(net: Network, q: PathQuery, params: PlannerParams,
@@ -162,6 +248,8 @@ def decide(net: Network, q: PathQuery, policy: str = "absolute",
     by one fair draw in stochastic mode.  Returns None when ``max_rounds``
     passes decide nothing.
     """
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}")
     _check_query(net, q)
     params = params if params is not None else PlannerParams()
     a_max = net.params.a_max
@@ -188,14 +276,12 @@ def decide(net: Network, q: PathQuery, policy: str = "absolute",
                     pick = sorted(top)[int(draw * len(top)) % len(top)]
                     return Decision(pick, r)
                 return None     # exact tie: withhold
-        elif policy == "relative":
+        else:
             ordered = sorted(levels.values(), reverse=True)
             second = ordered[1] if len(ordered) > 1 else 0.0
             if ordered[0] - second >= params.t_rel:
                 best = [c for c in candidates if levels[c] == ordered[0]]
                 return Decision(best[0], r)
-        else:
-            raise ValueError(f"unknown policy {policy!r}")
     return None
 
 

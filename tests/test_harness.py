@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import json
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import tnet
 from tnet.cli import main
 from tnet.errors import ConfigError
 from tnet.harness import (
@@ -109,6 +113,50 @@ def test_cli_names_non_numeric_predict_trials(tmp_path, capsys):
 def test_cli_names_non_numeric_predict_probability(tmp_path, capsys):
     code, err = _run_exit_code(tmp_path, capsys, "kind: predict\npredict: {probability: high}\n")
     assert code == 1 and "predict.probability" in err
+
+
+def test_cli_names_unknown_plan_policy(tmp_path, capsys):
+    code, err = _run_exit_code(tmp_path, capsys,
+                               "kind: plan\nplan: {source: a, goal: b, policy: bogus}\n")
+    assert code == 1 and "plan.policy" in err
+
+
+# Two equal routes S-X-G and S-Y-G: the first forward pass ties X and Y at
+# 1/3, which withholds in deterministic mode and draws in stochastic mode.
+TIE_PLAN = """\
+kind: plan
+deterministic: true
+planner: {t_act: 0.3}
+plan: {source: S, goal: G, full_plan: false}
+innate:
+  nodes: [{id: S, weight: 3.0}, {id: X, weight: 3.0}, {id: Y, weight: 3.0}, {id: G, weight: 3.0}]
+  edges:
+    - {src: S, dst: X, weight: 3.0}
+    - {src: S, dst: Y, weight: 3.0}
+    - {src: X, dst: G, weight: 3.0}
+    - {src: Y, dst: G, weight: 3.0}
+"""
+
+
+def test_cli_no_deterministic_overrides_config(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(TIE_PLAN, encoding="utf-8")
+    logs = {}
+    for flag in ("--deterministic", "--no-deterministic"):
+        log = tmp_path / f"{flag}.log"
+        assert main(["run", "--config", str(cfg), "--log", str(log), flag]) == 0
+        logs[flag] = log.read_text(encoding="utf-8")
+    capsys.readouterr()
+    assert logs["--deterministic"] == ""
+    assert logs["--no-deterministic"].split("\t")[1] == "decision"
+
+
+def test_import_tnet_leaves_yaml_unloaded():
+    src = str(Path(tnet.__file__).resolve().parents[1])
+    probe = "import sys; sys.path.insert(0, sys.argv[1]); import tnet; print('yaml' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe, src], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "False"
 
 
 def test_config_requires_corpus_for_segment():

@@ -2,8 +2,16 @@
 
 from __future__ import annotations
 
-import pytest
+import random
+import time
+from contextlib import contextmanager
+from unittest import mock
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from tnet import planner
 from tnet.errors import TopologyError
 from tnet.planner import (
     Decision,
@@ -125,6 +133,12 @@ def test_low_threshold_is_impulsive():
 def test_high_threshold_deliberates_to_the_better_path():
     d = decide(feeder(), QUERY, "absolute", PlannerParams(t_act=0.4))
     assert d == Decision(chosen="D", rounds_used=2)
+
+
+def test_unknown_policy_is_rejected_before_any_pass():
+    with mock.patch.object(planner, "_spread", side_effect=AssertionError("pass ran")):
+        with pytest.raises(ValueError, match="unknown policy 'bogus'"):
+            decide(feeder(), QUERY, "bogus")
 
 
 def test_unreachable_threshold_returns_none():
@@ -265,3 +279,185 @@ def test_causal_strength_hand_values():
     assert causal_strength(net, "act", "act", "out") == pytest.approx(0.0)
     # missing edges count as zero weight
     assert causal_strength(net, "out", "act", "var") == pytest.approx(0.0)
+
+
+# ---------------------------------------------------------------------------
+# spreading activation against the path-enumerating reference
+# ---------------------------------------------------------------------------
+
+def enumerating_spread(net, acts, start, amount, *, backward, use_forward_weight,
+                       absorb=frozenset()):
+    """Reference for ``_spread``: adds every simple path's contribution,
+    multiplied left to right along the path, and cuts a path below
+    ``_PRUNE``."""
+    p = net.params
+    w_max = p.w_max
+
+    def visit(node_id, contribution, seen):
+        neighbours = net.inc[node_id] if backward else net.out[node_id]
+        for other, edge in neighbours.items():
+            if other in seen:
+                continue
+            if backward and not use_forward_weight:
+                hop = net.out[node_id].get(other)
+                hop_w = hop.weight if hop is not None else 0.0
+            else:
+                hop_w = edge.weight
+            passed = (contribution * (hop_w / w_max)
+                      * (net.nodes[other].weight / w_max))
+            if passed < planner._PRUNE:
+                continue
+            acts[other] = min(p.a_max, acts.get(other, 0.0) + passed)
+            if other not in absorb:
+                visit(other, passed, seen | {other})
+
+    acts[start] = min(p.a_max, acts.get(start, 0.0) + amount)
+    visit(start, amount, frozenset([start]))
+
+
+@contextmanager
+def enumerating():
+    with mock.patch.object(planner, "_spread", enumerating_spread):
+        yield
+
+
+def outcome(call):
+    try:
+        return call()
+    except (TopologyError, ValueError) as exc:
+        return type(exc)
+
+
+def generic(k: int, low: float, high: float) -> float:
+    # distinct draws k give distinct weights with unremarkable mantissas, so
+    # that no two candidates tie exactly and no level lands on a threshold
+    return low + (high - low) * (k + 0.6180339887498949) / 1_000_001
+
+
+@st.composite
+def planner_cases(draw, acyclic: bool):
+    """A network, a query and planner params.
+
+    Acyclic: positive edges follow a random node order, reciprocals stay at
+    zero, weights in [0.5, 1] * w_max keep every path above ``_PRUNE``.
+    Cyclic: every edge and its reciprocal are positive, and two hubs
+    adjacent to every node put a cycle in every pass; weights reach down to
+    0.02 * w_max so that ``_PRUNE`` cuts paths.
+    """
+    n = draw(st.integers(3, 9) if acyclic else st.integers(4, 7))
+    ids = [f"n{i}" for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if acyclic:
+        order = draw(st.permutations(range(n)))
+        chosen = draw(st.lists(st.sampled_from(pairs), min_size=1, unique=True))
+    else:
+        order = list(range(n))
+        hubs = [pair for pair in pairs if pair[0] in (1, 2) or pair[1] in (1, 2)]
+        chosen = hubs + draw(st.lists(st.sampled_from(pairs), unique=True))
+    low = 0.5 if acyclic else 0.02
+    size = n + 2 * len(chosen) + 3      # node weights, edge weights, primings
+    keys = iter(draw(st.lists(st.integers(0, 1_000_000), min_size=size, max_size=size,
+                              unique=True)))
+    mode = draw(st.sampled_from(list(FiringMode)))
+    net = Network(Params(), seed=draw(st.integers(0, 3)), mode=mode)
+    w_max = net.params.w_max
+    for nid in ids:
+        net.add_node(nid).weight = generic(next(keys), low, 1.0) * w_max
+    for i, j in dict.fromkeys(chosen):
+        lo, hi = ids[order[i]], ids[order[j]]
+        if draw(st.booleans()):
+            net.ensure_edge(lo, hi)
+        else:
+            net.ensure_edge(hi, lo)
+        net.edge(lo, hi).weight = generic(next(keys), low, 1.0) * w_max
+        if not acyclic:
+            net.edge(hi, lo).weight = generic(next(keys), low, 1.0) * w_max
+    for nid in draw(st.lists(st.sampled_from(ids), unique=True, max_size=3)):
+        net.node(nid).activation = generic(next(keys), 0.0, 0.5) * net.params.a_max
+    if acyclic:
+        source, goal = draw(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True))
+    else:
+        source, goal = ids[0], ids[-1]
+    context = frozenset(draw(st.lists(st.sampled_from(ids), max_size=2)))
+    params = PlannerParams(
+        t_act=draw(st.integers(1, 999)) / 1000 + 1e-4,
+        t_rel=draw(st.integers(1, 500)) / 1000 + 1e-4,
+        max_rounds=draw(st.integers(1, 6)),
+        source_strength=draw(st.integers(1, 3)),
+        back_uses_forward_weight=draw(st.booleans()),
+    )
+    return net, PathQuery(source, goal, context), params
+
+
+@given(case=planner_cases(acyclic=True))
+@settings(max_examples=200, deadline=None)
+def test_acyclic_spread_matches_path_enumeration(case):
+    net, q, params = case
+    for rounds in range(1, 5):
+        got = propagate(net, q, rounds, params)
+        with enumerating():
+            want = propagate(net, q, rounds, params)
+        assert set(got) == set(want)
+        for node_id, level in want.items():
+            assert got[node_id] == pytest.approx(level, abs=1e-12, rel=0)
+    for policy in ("absolute", "relative"):
+        got = outcome(lambda: decide(net, q, policy, params))
+        with enumerating():
+            want = outcome(lambda: decide(net, q, policy, params))
+        assert got == want
+
+
+@given(case=planner_cases(acyclic=False))
+@settings(max_examples=100, deadline=None)
+def test_cyclic_spread_is_identical_to_path_enumeration(case):
+    net, q, params = case
+    for rounds in range(1, 5):
+        got = propagate(net, q, rounds, params)
+        with enumerating():
+            want = propagate(net, q, rounds, params)
+        assert list(got.items()) == list(want.items())
+    for policy in ("absolute", "relative"):
+        got = outcome(lambda: decide(net, q, policy, params))
+        with enumerating():
+            want = outcome(lambda: decide(net, q, policy, params))
+        assert got == want
+
+
+def test_relay_routes_by_cycles_beyond_the_start():
+    # S->A->B->G with a positive edge B->S: no simple path from S reuses
+    # B->S, so the walk stays acyclic; a positive B->A closes a cycle
+    net = Network(Params(), seed=0)
+    for nid in "SABG":
+        net.add_node(nid).weight = 1.0
+    for s, d in ("SA", "AB", "BG", "BS"):
+        net.ensure_edge(s, d).weight = 1.0
+    hops, order = planner._relay(net, "S", backward=False, use_forward_weight=True,
+                                 absorb=frozenset("G"))
+    assert order == ["S", "A", "B"]
+    assert [other for other, _, _ in hops["B"]] == ["G"]
+    net.edge("B", "A").weight = 1.0
+    _, order = planner._relay(net, "S", backward=False, use_forward_weight=True,
+                              absorb=frozenset("G"))
+    assert order is None
+
+
+def test_decide_on_200_node_layered_dag_within_budget():
+    # 20 fully connected layers of 10 hold 10**20 source-goal paths, far
+    # beyond any enumeration; one pass over the graph is O(nodes + edges)
+    rng = random.Random(200)
+    net = Network(Params(), seed=0)
+    w_max = net.params.w_max
+    layers = [["src"]] + [[f"m{d}_{i}" for i in range(10)] for d in range(20)] + [["goal"]]
+    for layer in layers:
+        for nid in layer:
+            net.add_node(nid).weight = rng.uniform(0.5, 1.0) * w_max
+    for upper, lower in zip(layers, layers[1:]):
+        for a in upper:
+            for b in lower:
+                net.ensure_edge(a, b).weight = rng.uniform(0.5, 1.0) * w_max
+    start = time.perf_counter()
+    d = decide(net, PathQuery("src", "goal"), "absolute",
+               PlannerParams(t_act=0.9, back_uses_forward_weight=True))
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"runtime {elapsed:.2f}s over 1.0s budget"
+    assert d is None or d.chosen in layers[1]
