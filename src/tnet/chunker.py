@@ -391,9 +391,13 @@ class Chunker:
         self._last_wild = wild
 
         self.buf.append((tick, symbol))
-        while len(self.buf) > self.cp.buffer_len:
-            self.buf.pop(0)
         self._tick_sym[tick] = symbol
+        while len(self.buf) > self.cp.buffer_len:
+            evicted, _ = self.buf.pop(0)
+            # noise trimming reads one tick before the oldest tick of the
+            # wild snapshot, which may still start at the evicted tick
+            while (oldest := next(iter(self._tick_sym))) < evicted - 1:
+                del self._tick_sym[oldest]
         self._sym_count[symbol] = self._sym_count.get(symbol, 0) + 1
 
         node = net.ensure_node(symbol, NodeKind.SENSORY)
@@ -484,8 +488,7 @@ class Chunker:
             self._commit(done)
             # re-feed what the abandoned extension consumed, then the
             # diverging symbol itself
-            for t in range(done.end + 1, tick):
-                self._prefix_step(self._symbol_at(t), t)
+            self._replay(done.end + 1, tick)
             self._prefix_step(symbol, tick)
             return
         matched = run.text
@@ -502,10 +505,15 @@ class Chunker:
                 return
         # nothing to salvage: retry the match from inside the failed span
         if len(matched) > 1:
-            resume = run.start + 1
-            for t in range(resume, tick):
-                self._prefix_step(self._symbol_at(t), t)
+            self._replay(run.start + 1, tick)
         self._prefix_step(symbol, tick)
+
+    def _replay(self, start: int, end: int) -> None:
+        """Re-feed the buffered symbols at ticks ``start..end-1`` to the
+        matcher; a tick that passed without a symbol has nothing to re-feed."""
+        for t, sym in self.buf:
+            if start <= t < end:
+                self._prefix_step(sym, t)
 
     def _split_trace(self, trace: str, matched: str, start: int, end: int) -> None:
         """Partial match against a plastic trace rewrites it into two blocks.
@@ -544,12 +552,6 @@ class Chunker:
             self._commit(run.last_completed)
 
     # -- internals: repeat tracking ----------------------------------------
-
-    def _symbol_at(self, tick: int) -> str:
-        for t, sym in self.buf:
-            if t == tick:
-                return sym
-        raise TopologyError(f"tick {tick} evicted from buffer")
 
     def _occurs_earlier(self, view: _Window, span_start: int, span_end: int) -> bool:
         """Is there a non-overlapping earlier copy of the span, after the

@@ -22,7 +22,6 @@ from .harness import (
     write_outputs,
     write_sweep_table,
 )
-from .substrate import Params
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -88,11 +87,7 @@ def _cmd_segment(args: argparse.Namespace) -> int:
         overrides["decay_w"] = args.decay
     if args.theta is not None:
         overrides["theta"] = args.theta
-    try:
-        params = Params(**overrides)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    cfg = ExperimentConfig(kind="segment", corpus=args.corpus, params=params)
+    cfg = ExperimentConfig(kind="segment", corpus=args.corpus, params=overrides)
     snapshot, _ = run_experiment(cfg)
     labels = sorted(n["id"] for n in snapshot["nodes"]
                     if n["kind"] == "chunk" and n["fixated"])

@@ -11,9 +11,11 @@ import csv
 import hashlib
 import json
 import string
-from dataclasses import asdict, dataclass, field
+from collections.abc import Mapping
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import product
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 from .chunker import Chunker, ChunkerParams
 from .errors import ConfigError, TnetError
@@ -92,6 +94,47 @@ KINDS = ("segment", "predict", "plan", "hebbian", "custom")
 
 
 @dataclass
+class PredictSection:
+    """``predict:`` -- a cue/outcome motif run through trials.  An explicit
+    ``schedule`` lists each trial's outcome; otherwise ``trials`` trials
+    present the outcome always, or with ``probability``."""
+    cue: str = "cue"
+    outcome: str = "outcome"
+    schedule: list[bool] | None = None
+    trials: int = 20
+    probability: float | None = None
+
+
+@dataclass
+class PlanSection:
+    """``plan:`` -- one path query; ``full_plan`` chains decisions into a
+    plan, otherwise one decision is logged."""
+    source: str
+    goal: str
+    context: list[str] = field(default_factory=list)
+    policy: str = "absolute"
+    full_plan: bool = True
+
+    def __post_init__(self) -> None:
+        if self.policy not in POLICIES:
+            raise ConfigError(f"plan.policy: expected one of {POLICIES}, got {self.policy!r}")
+
+
+@dataclass
+class HebbianSection:
+    """``hebbian:`` -- ``reps`` co-activations of ``a`` and ``b``,
+    ``gap_ticks`` silent ticks apart."""
+    a: str
+    b: str
+    reps: int = 3
+    gap_ticks: int = 0
+
+    def __post_init__(self) -> None:
+        if self.reps < 1:
+            raise ConfigError(f"hebbian.reps: must be >= 1, got {self.reps}")
+
+
+@dataclass
 class ExperimentConfig:
     kind: str = "segment"
     corpus: str | None = None
@@ -103,30 +146,76 @@ class ExperimentConfig:
     deterministic: bool = True
     out: str | None = None
     log: str | None = None
-    predict: dict = field(default_factory=dict)
-    plan: dict = field(default_factory=dict)
-    hebbian: dict = field(default_factory=dict)
+    predict: PredictSection = field(default_factory=PredictSection)
+    plan: PlanSection | None = None
+    hebbian: HebbianSection | None = None
     version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
+        # a section given as a mapping (YAML, or a Python caller) is built here
+        for name, hint in get_type_hints(ExperimentConfig).items():
+            value, cls = getattr(self, name), _section_class(hint)
+            if cls is not None and isinstance(value, Mapping):
+                setattr(self, name, _build_innate(value) if cls is InnateSpec
+                        else _build_section(name, cls, value))
+        if self.version != SCHEMA_VERSION:
+            raise ConfigError(f"version: expected {SCHEMA_VERSION}, got {self.version!r}")
         if self.kind not in KINDS:
             raise ConfigError(f"kind: expected one of {KINDS}, got {self.kind!r}")
         if not (0 <= self.seed < 2 ** 64):
             raise ConfigError("seed: must fit in 64 unsigned bits")
         if self.kind == "segment" and self.corpus is None:
             raise ConfigError("corpus: required for kind=segment")
+        if self.kind in ("plan", "hebbian") and getattr(self, self.kind) is None:
+            raise ConfigError(f"{self.kind}: required for kind={self.kind}")
 
 
-def _build_section(name: str, cls, data: dict):
-    if not isinstance(data, dict):
-        raise ConfigError(f"{name}: expected a mapping")
-    valid = set(cls.__dataclass_fields__)
-    unknown = set(data) - valid
+def _section_class(hint):
+    """The dataclass a field of type ``hint`` holds (``X`` or ``X | None``), or None."""
+    return next((h for h in (hint, *get_args(hint)) if is_dataclass(h)), None)
+
+
+def _conforms(value, hint) -> bool:
+    """Does ``value`` have type ``hint``?  A float also takes an int, a bool
+    is never a number, and a section also takes a mapping to build it from."""
+    if _section_class(hint) is not None and isinstance(value, Mapping):
+        return True
+    args = get_args(hint)
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_conforms(item, args[0]) for item in value)
+    if args:
+        return any(_conforms(value, arg) for arg in args)
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _build_section(name: str, cls, data):
+    """Build the dataclass ``cls`` from the mapping ``data``.
+
+    The one validator of config input: every key must be a field, every
+    field without a default must be given, and every value must have the
+    field's annotated type (see ``_conforms``).  The dataclass's own range
+    checks run last.  Errors name ``name.field``.
+    """
+    if not isinstance(data, Mapping):
+        raise ConfigError(f"{name}: expected a mapping, got {data!r}")
+    hints = get_type_hints(cls)
+    unknown = set(data) - set(hints)
     if unknown:
-        raise ConfigError(f"{name}: unknown fields {sorted(unknown)}")
+        raise ConfigError(f"{name}: unknown fields {sorted(unknown, key=str)}")
+    for f in fields(cls):
+        hint = hints[f.name]
+        if f.name not in data:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ConfigError(f"{name}.{f.name}: required")
+        elif not _conforms(data[f.name], hint):
+            expected = ("a mapping" if _section_class(hint) is not None
+                        else str(hint) if get_args(hint) else hint.__name__)
+            raise ConfigError(f"{name}.{f.name}: expected {expected}, got {data[f.name]!r}")
     try:
         return cls(**data)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 
 
@@ -168,33 +257,7 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_mapping(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a mapping")
-    known = set(ExperimentConfig.__dataclass_fields__)
-    unknown = set(raw) - known
-    if unknown:
-        raise ConfigError(f"unknown config fields {sorted(unknown)}")
-    kwargs: dict = {}
-    for key in ("kind", "corpus", "seed", "deterministic", "out", "log", "version"):
-        if key in raw:
-            kwargs[key] = raw[key]
-    if "params" in raw:
-        kwargs["params"] = _build_section("params", Params, raw["params"])
-    if "chunker" in raw:
-        kwargs["chunker"] = _build_section("chunker", ChunkerParams, raw["chunker"])
-    if "planner" in raw:
-        kwargs["planner"] = _build_section("planner", PlannerParams, raw["planner"])
-    if "innate" in raw and raw["innate"] is not None:
-        kwargs["innate"] = _build_innate(raw["innate"])
-    for key in ("predict", "plan", "hebbian"):
-        if key in raw:
-            if not isinstance(raw[key], dict):
-                raise ConfigError(f"{key}: expected a mapping")
-            kwargs[key] = raw[key]
-    try:
-        return ExperimentConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _build_section("config", ExperimentConfig, raw)
 
 
 # ---------------------------------------------------------------------------
@@ -315,26 +378,14 @@ def _event_lines(events: list[tuple[int, str, str, float]]) -> list[str]:
     return [f"{tick}\t{kind}\t{element}\t{value!r}" for tick, kind, element, value in events]
 
 
-def _section_number(section: str, data: dict, key: str, default, cast):
-    """``data[key]`` (or ``default``) converted by ``cast``; a value that does
-    not convert is a config error naming ``section.key``."""
-    value = data.get(key, default)
-    try:
-        return cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{section}.{key}: expected a number, got {value!r}") from None
-
-
 def _predict_schedule(cfg: ExperimentConfig) -> list[bool]:
     section = cfg.predict
-    if "schedule" in section:
-        return [bool(x) for x in section["schedule"]]
-    trials = _section_number("predict", section, "trials", 20, int)
-    if section.get("probability") is None:
-        return [True] * trials
-    probability = _section_number("predict", section, "probability", None, float)
-    return [counter_uniform(cfg.seed, "schedule", i) < probability
-            for i in range(trials)]
+    if section.schedule is not None:
+        return section.schedule
+    if section.probability is None:
+        return [True] * section.trials
+    return [counter_uniform(cfg.seed, "schedule", i) < section.probability
+            for i in range(section.trials)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
@@ -352,43 +403,29 @@ def run_experiment(cfg: ExperimentConfig) -> tuple[dict, list[str]]:
         events = chunker.events
     elif cfg.kind == "predict":
         section = cfg.predict
-        cue = section.get("cue", "cue")
-        outcome = section.get("outcome", "outcome")
-        net.ensure_node(cue)
-        net.ensure_node(outcome)
-        motif = build_motif(net, cue, outcome)
+        net.ensure_node(section.cue)
+        net.ensure_node(section.outcome)
+        motif = build_motif(net, section.cue, section.outcome)
         for i, present in enumerate(_predict_schedule(cfg)):
             error = trial(net, motif, present)
             events.append((net.tick_count, "error", f"trial-{i}", error))
     elif cfg.kind == "plan":
         section = cfg.plan
-        try:
-            query = PathQuery(source=section["source"], goal=section["goal"],
-                              context=frozenset(section.get("context", [])))
-        except KeyError as exc:
-            raise ConfigError(f"plan: missing field {exc}") from exc
-        policy = section.get("policy", "absolute")
-        if policy not in POLICIES:
-            raise ConfigError(f"plan.policy: expected one of {POLICIES}, got {policy!r}")
-        if section.get("full_plan", True):
-            for i, hop in enumerate(plan(net, query, cfg.planner, policy)):
+        query = PathQuery(source=section.source, goal=section.goal,
+                          context=frozenset(section.context))
+        if section.full_plan:
+            for i, hop in enumerate(plan(net, query, cfg.planner, section.policy)):
                 events.append((net.tick_count, "commit", hop, float(i)))
         else:
-            decision = decide(net, query, policy, cfg.planner)
+            decision = decide(net, query, section.policy, cfg.planner)
             if decision is not None:
                 events.append((net.tick_count, "decision", decision.chosen,
                                float(decision.rounds_used)))
     elif cfg.kind == "hebbian":
-        section = cfg.hebbian
-        try:
-            a, b = section["a"], section["b"]
-        except KeyError as exc:
-            raise ConfigError(f"hebbian: missing field {exc}") from exc
-        reps = _section_number("hebbian", section, "reps", 3, int)
-        gap = _section_number("hebbian", section, "gap_ticks", 0, int)
+        a, b = cfg.hebbian.a, cfg.hebbian.b
         net.ensure_node(a)
         net.ensure_node(b)
-        hebbian_episode(net, a, b, reps, gap)
+        hebbian_episode(net, a, b, cfg.hebbian.reps, cfg.hebbian.gap_ticks)
         events.append((net.tick_count, "weight", f"{a}->{b}",
                        net.edge(a, b).weight))
     # custom: innate network only, nothing streamed
@@ -421,24 +458,13 @@ def label_set_hash(labels: set[str]) -> str:
 
 def sweep(base: ExperimentConfig, grid: dict[str, list]) -> list[dict]:
     """Cartesian product over Params fields; one result row per cell."""
-    valid = set(Params.__dataclass_fields__)
-    unknown = set(grid) - valid
-    if unknown:
-        raise ConfigError(f"grid: unknown Params fields {sorted(unknown)}")
     keys = sorted(grid)
     rows: list[dict] = []
     cells = product(*(grid[k] for k in keys)) if keys else [()]
     for values in cells:
         overrides = dict(zip(keys, values))
-        params = _build_section("params", Params,
-                                {**asdict(base.params), **overrides})
-        cell_cfg = ExperimentConfig(
-            kind=base.kind, corpus=base.corpus, params=params,
-            chunker=base.chunker, planner=base.planner, innate=base.innate,
-            seed=base.seed, deterministic=base.deterministic,
-            predict=base.predict, plan=base.plan, hebbian=base.hebbian,
-        )
-        snapshot, _ = run_experiment(cell_cfg)
+        params = _build_section("grid", Params, {**asdict(base.params), **overrides})
+        snapshot, _ = run_experiment(replace(base, params=params))
         labels = _fixated_chunk_labels(snapshot)
         row = dict(overrides)
         row["fixated_chunks"] = len(labels)

@@ -189,6 +189,8 @@ def scanned_occurs_earlier(buf: list[tuple[int, str]], boundary: int,
 
 
 @given(steps=st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 2)), max_size=40))
+# the prefix matcher replays a tick that passed without a symbol
+@example(steps=[("b", 0), ("b", 0), ("b", 0), ("c", 0), ("a", 0), ("b", 0), ("b", 0), ("a", 1)])
 @settings(max_examples=60, deadline=None)
 def test_span_lookups_match_window_scan_across_tick_gaps(steps):
     net = make_net()
@@ -359,6 +361,16 @@ def test_buffer_respects_window():
     chunker = Chunker(net, ChunkerParams(buffer_len=8))
     chunker.observe_stream(string.ascii_lowercase)
     assert len(chunker.buffer_text()) <= 8
+
+
+def test_tick_symbols_follow_the_window_not_the_stream():
+    rng = random.Random(0)
+    net = make_net()
+    chunker = Chunker(net, ChunkerParams())
+    for _ in range(5000):
+        chunker.observe(rng.choice("abcdefgh"))
+    # the buffer plus the evicted tick and the one before it
+    assert len(chunker._tick_sym) <= chunker.cp.buffer_len + 2
 
 
 def test_events_are_logged_with_ticks():

@@ -86,39 +86,72 @@ def test_config_bad_param_section_is_named():
                              "chunker": {"l_min": 0}})
 
 
-def _run_exit_code(tmp_path, capsys, text: str) -> tuple[int, str]:
+# Each malformed config exits 1 from `tnet run` (or `tnet sweep`, when a grid
+# is given) with the offending field named on stderr.
+MALFORMED = [
+    pytest.param("kind: hebbian\nhebbian: {a: x, b: y, rep: 10}\n", None,
+                 "hebbian: unknown fields ['rep']", id="hebbian-unknown-rep"),
+    pytest.param("kind: predict\npredict: {trails: 3}\n", None,
+                 "predict: unknown fields ['trails']", id="predict-unknown-trails"),
+    pytest.param("kind: hebbian\nhebbian: {a: x, b: y, reps: 2.7}\n", None,
+                 "hebbian.reps", id="hebbian.reps-float"),
+    pytest.param("kind: hebbian\nhebbian: {a: x, b: y, reps: lots}\n", None,
+                 "hebbian.reps", id="hebbian.reps-lots"),
+    pytest.param("kind: hebbian\nhebbian: {a: x, b: y, reps: 0}\n", None,
+                 "hebbian.reps", id="hebbian.reps-zero"),
+    pytest.param("kind: hebbian\nhebbian: {a: x, b: y, gap_ticks: [1]}\n", None,
+                 "hebbian.gap_ticks", id="hebbian.gap_ticks-list"),
+    pytest.param("kind: plan\nplanner: {max_rounds: 2.5}\nplan: {source: S, goal: G}\n", None,
+                 "planner.max_rounds", id="planner.max_rounds-float"),
+    pytest.param("kind: plan\nplan: {source: S, goal: G, context: SX}\n", None,
+                 "plan.context", id="plan.context-string"),
+    pytest.param("kind: plan\nplan: {source: S}\n", None,
+                 "plan.goal", id="plan.goal-missing"),
+    pytest.param("kind: plan\nplan: {source: a, goal: b, policy: bogus}\n", None,
+                 "plan.policy", id="plan.policy-bogus"),
+    pytest.param("kind: predict\npredict: {schedule: \"yes\"}\n", None,
+                 "predict.schedule", id="predict.schedule-string"),
+    pytest.param("kind: predict\npredict: {trials: many}\n", None,
+                 "predict.trials", id="predict.trials-many"),
+    pytest.param("kind: predict\npredict: {probability: high}\n", None,
+                 "predict.probability", id="predict.probability-high"),
+    pytest.param("kind: segment\ncorpus: fig1b\ndeterministic: \"false\"\n", None,
+                 "config.deterministic", id="config.deterministic-string"),
+    pytest.param("kind: segment\ncorpus: fig1b\nseed: abc\n", None,
+                 "config.seed", id="config.seed-string"),
+    pytest.param("kind: segment\ncorpus: fig1b\nversion: 2\n", None,
+                 "version", id="version-2"),
+    pytest.param("kind: segment\ncorpus: fig1b\nparams: {theta: true}\n", None,
+                 "params.theta", id="params.theta-bool"),
+    pytest.param("kind: segment\ncorpus: fig1b\nparams: {dw: \"0.3\"}\n", None,
+                 "params.dw", id="params.dw-string"),
+    pytest.param("kind: segment\ncorpus: fig1b\n", "dw: [\"0.3\"]\n",
+                 "grid.dw", id="grid.dw-string"),
+]
+
+
+@pytest.mark.parametrize("config, grid, named", MALFORMED)
+def test_malformed_config_exits_1_naming_field(tmp_path, capsys, config, grid, named):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(text, encoding="utf-8")
-    code = main(["run", "--config", str(cfg)])
-    return code, capsys.readouterr().err
+    cfg.write_text(config, encoding="utf-8")
+    if grid is None:
+        code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "snap.json")])
+    else:
+        (tmp_path / "grid.yaml").write_text(grid, encoding="utf-8")
+        code = main(["sweep", "--config", str(cfg), "--grid", str(tmp_path / "grid.yaml"),
+                     "--out", str(tmp_path / "table.csv")])
+    err = capsys.readouterr().err
+    assert code == 1 and named in err, err
 
 
-def test_cli_names_non_numeric_hebbian_reps(tmp_path, capsys):
-    code, err = _run_exit_code(tmp_path, capsys,
-                               "kind: hebbian\nhebbian: {a: x, b: y, reps: lots}\n")
-    assert code == 1 and "hebbian.reps" in err
-
-
-def test_cli_names_non_numeric_hebbian_gap_ticks(tmp_path, capsys):
-    code, err = _run_exit_code(tmp_path, capsys,
-                               "kind: hebbian\nhebbian: {a: x, b: y, gap_ticks: [1]}\n")
-    assert code == 1 and "hebbian.gap_ticks" in err
-
-
-def test_cli_names_non_numeric_predict_trials(tmp_path, capsys):
-    code, err = _run_exit_code(tmp_path, capsys, "kind: predict\npredict: {trials: many}\n")
-    assert code == 1 and "predict.trials" in err
-
-
-def test_cli_names_non_numeric_predict_probability(tmp_path, capsys):
-    code, err = _run_exit_code(tmp_path, capsys, "kind: predict\npredict: {probability: high}\n")
-    assert code == 1 and "predict.probability" in err
-
-
-def test_cli_names_unknown_plan_policy(tmp_path, capsys):
-    code, err = _run_exit_code(tmp_path, capsys,
-                               "kind: plan\nplan: {source: a, goal: b, policy: bogus}\n")
-    assert code == 1 and "plan.policy" in err
+def test_readme_run_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("`run` executes an experiment described by a YAML config:")[1]
+    example = example.split("```yaml\n", 1)[1].split("```", 1)[0]
+    path = tmp_path / "cfg.yaml"
+    path.write_text(example, encoding="utf-8")
+    cfg = load_config(path)
+    assert cfg.kind == "segment" and cfg.params.dw == pytest.approx(0.3)
 
 
 # Two equal routes S-X-G and S-Y-G: the first forward pass ties X and Y at
