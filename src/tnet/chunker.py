@@ -81,21 +81,14 @@ class Candidate:
     leftmost: int
 
 
-class _Window:
-    """A buffer snapshot split into its tick list and its text.
+def _between(ticks: list[int], text: str, start: int, end: int) -> str:
+    """The symbols at ticks ``start..end``, both ends included, of a window
+    given as its tick list and its text.
 
-    Buffer ticks strictly increase, so the symbols of a tick range are one
-    slice of the text, found by bisecting the ticks.
+    Window ticks strictly increase, so those symbols are one slice of the
+    text, found by bisecting the ticks.
     """
-    __slots__ = ("ticks", "text")
-
-    def __init__(self, window: list[tuple[int, str]]) -> None:
-        self.ticks = [t for t, _ in window]
-        self.text = "".join(sym for _, sym in window)
-
-    def between(self, start: int, end: int) -> str:
-        """The symbols at ticks ``start..end``, both ends included."""
-        return self.text[bisect_left(self.ticks, start):bisect_right(self.ticks, end)]
+    return text[bisect_left(ticks, start):bisect_right(ticks, end)]
 
 
 @dataclass
@@ -271,8 +264,8 @@ def match(net: Network, fragment: str, prime: float = 0.5) -> list[tuple[str, fl
     match contribution as activation (priming).
     """
     results: list[tuple[str, float, float]] = []
-    for node in net.nodes.values():
-        if node.kind is not NodeKind.CHUNK or node.weight <= 0.0:
+    for node in net.chunk_nodes:
+        if node.weight <= 0.0:
             continue
         label = node.id
         best = 0
@@ -355,6 +348,9 @@ class Chunker:
         self.net = net
         self.cp = params if params is not None else ChunkerParams()
         self.buf: list[tuple[int, str]] = []
+        # the buffer's ticks and its text, kept as symbols arrive and leave
+        self._ticks: list[int] = []
+        self._text: str = ""
         self.boundary: int = -1          # last consolidated stream position
         self.chain: list[Commit] = []
         self.pending: str | None = None
@@ -365,7 +361,7 @@ class Chunker:
         self._tick_sym: dict[int, str] = {}
         self._sym_count: dict[str, int] = {}
         self._last_wild: bool = False
-        self._wild_snapshot: list[tuple[int, str]] | None = None
+        self._wild_snapshot: tuple[list[int], str] | None = None
         self._prev_sym: str | None = None
         self.events: list[tuple[int, str, str, float]] = []
 
@@ -382,18 +378,23 @@ class Chunker:
         # is the snapshot taken before the first noise symbol landed — the
         # era's evidence, untouched by eviction.
         if wild and self._last_wild and self._has_content():
-            window = self._wild_snapshot if self._wild_snapshot is not None else list(self.buf)
-            self._closure(window)
+            window = (self._wild_snapshot if self._wild_snapshot is not None
+                      else (self._ticks, self._text))
+            self._closure(*window)
         if wild:
-            self._wild_snapshot = list(self.buf)
+            self._wild_snapshot = (self._ticks.copy(), self._text)
         else:
             self._wild_snapshot = None
         self._last_wild = wild
 
         self.buf.append((tick, symbol))
+        self._ticks.append(tick)
+        self._text += symbol
         self._tick_sym[tick] = symbol
         while len(self.buf) > self.cp.buffer_len:
             evicted, _ = self.buf.pop(0)
+            del self._ticks[0]
+            self._text = self._text[1:]
             # noise trimming reads one tick before the oldest tick of the
             # wild snapshot, which may still start at the evicted tick
             while (oldest := next(iter(self._tick_sym))) < evicted - 1:
@@ -416,7 +417,7 @@ class Chunker:
         """Stream end: resolve open matches and consolidate the final era."""
         self._finalize_prefix()
         if self._has_content():
-            self._closure(list(self.buf))
+            self._closure(self._ticks, self._text)
         self.raw_starts.clear()
         self.quiet = 0
         self._prev_sym = None
@@ -429,21 +430,15 @@ class Chunker:
         self.flush()
 
     def fixated_chunks(self) -> set[str]:
-        return {n.id for n in self.net.nodes.values()
-                if n.kind is NodeKind.CHUNK and n.fixated}
+        return {n.id for n in self.net.chunk_nodes if n.fixated}
 
     def buffer_text(self) -> str:
-        return "".join(sym for _, sym in self.buf)
-
-    def active_elements(self) -> set[str]:
-        """Ids of elements currently holding activation (working memory)."""
-        return {e.id for e in self.net.elements() if e.activation > 0.0}
+        return self._text
 
     # -- internals: matching -----------------------------------------------
 
     def _positive_labels(self) -> list[str]:
-        return [n.id for n in self.net.nodes.values()
-                if n.kind is NodeKind.CHUNK and n.weight > 0.0]
+        return [n.id for n in self.net.chunk_nodes if n.weight > 0.0]
 
     def _log(self, kind: str, element: str, value: float) -> None:
         self.events.append((self.net.tick_count, kind, element, value))
@@ -451,7 +446,7 @@ class Chunker:
     def _has_content(self) -> bool:
         if self.chain or self.pending or self.pending_units:
             return True
-        return len(self._tail_span(self.buf)) >= self.cp.l_min
+        return len(self._tail_span(self._ticks)) >= self.cp.l_min
 
     def _prefix_step(self, symbol: str, tick: int) -> None:
         labels = self._positive_labels()
@@ -553,37 +548,36 @@ class Chunker:
 
     # -- internals: repeat tracking ----------------------------------------
 
-    def _occurs_earlier(self, view: _Window, span_start: int, span_end: int) -> bool:
+    def _occurs_earlier(self, span_start: int, span_end: int) -> bool:
         """Is there a non-overlapping earlier copy of the span, after the
-        boundary, inside the window?"""
-        ticks = view.ticks
-        text = view.between(span_start, span_end)
+        boundary, inside the buffer?"""
+        ticks, buffered = self._ticks, self._text
+        text = _between(ticks, buffered, span_start, span_end)
         length = span_end - span_start + 1
         for i in range(bisect_right(ticks, self.boundary), len(ticks)):
             t1 = ticks[i] + length - 1
             if t1 >= span_start:
                 break
-            if view.text[i:bisect_right(ticks, t1, i)] == text:
+            if buffered[i:bisect_right(ticks, t1, i)] == text:
                 return True
         return False
 
     def _raw_step(self, symbol: str, tick: int) -> None:
         l_min = self.cp.l_min
-        view = _Window(self.buf)
         survivors: list[int] = []
         proposal: str | None = None
         for start in self.raw_starts:
             if start <= self.boundary:
                 continue
-            if self._occurs_earlier(view, start, tick):
+            if self._occurs_earlier(start, tick):
                 survivors.append(start)
                 continue
             dead_len = tick - start        # span without the new symbol
             if dead_len >= l_min:
-                pattern = view.between(start, tick - 1)
+                pattern = _between(self._ticks, self._text, start, tick - 1)
                 if len(pattern) == dead_len and (proposal is None or dead_len > len(proposal)):
                     proposal = pattern
-        if tick > self.boundary and self._occurs_earlier(view, tick, tick):
+        if tick > self.boundary and self._occurs_earlier(tick, tick):
             survivors.append(tick)
         self.raw_starts = survivors
 
@@ -600,19 +594,17 @@ class Chunker:
             else:
                 self.quiet += 1
                 if self.quiet >= l_min:
-                    self._commit_pending(list(self.buf))
+                    self._commit_pending(self._ticks, self._text)
         else:
             self.quiet = 0
 
-    def _commit_pending(self, window: list[tuple[int, str]]) -> None:
+    def _commit_pending(self, ticks: list[int], text: str) -> None:
         pattern = self.pending
         self.pending = None
         self.quiet = 0
         if pattern is None:
             return
         length = len(pattern)
-        view = _Window(window)
-        ticks = view.ticks
         pos = 0
         while pos < len(ticks):
             t0 = ticks[pos]
@@ -620,7 +612,7 @@ class Chunker:
                 pos += 1
                 continue
             t1 = t0 + length - 1
-            if view.between(t0, t1) == pattern and t1 <= ticks[-1]:
+            if _between(ticks, text, t0, t1) == pattern and t1 <= ticks[-1]:
                 self._commit(Commit(pattern, t0, t1))
                 pos += length
             else:
@@ -664,9 +656,9 @@ class Chunker:
         self.boundary = occurrence.end
 
     def _record_gap_unit(self, start: int, end: int) -> None:
-        ticks = self._trim_noise(start, end, self.buf)
+        ticks = self._trim_noise(start, end, self._ticks)
         if ticks and ticks[-1] - ticks[0] + 1 >= self.cp.l_min:
-            text = _Window(self.buf).between(ticks[0], ticks[-1])
+            text = _between(self._ticks, self._text, ticks[0], ticks[-1])
             if len(text) == ticks[-1] - ticks[0] + 1:
                 self.pending_units.append(Unit(text, ticks[0], ticks[-1]))
 
@@ -675,16 +667,15 @@ class Chunker:
         sym = self._tick_sym.get(tick)
         return sym is not None and self._sym_count.get(sym, 0) <= 1
 
-    def _trim_noise(self, start: int, end: int, window: list[tuple[int, str]]) -> list[int]:
-        """Drop noise ticks from a span; keep the longest contiguous run.
+    def _trim_noise(self, start: int, end: int, ticks: list[int]) -> list[int]:
+        """Drop noise ticks from a window's ``ticks`` in ``start..end``; keep
+        the longest contiguous run.
 
         A one-off symbol next to another one-off symbol is noise; an isolated
         one flanked by recurring symbols is data.
         """
-        present = {t for t, _ in window}
-        ticks = [t for t in range(start, end + 1) if t in present]
         keep: list[int] = []
-        for t in ticks:
+        for t in ticks[bisect_left(ticks, start):bisect_right(ticks, end)]:
             if self._wild_at(t) and (self._wild_at(t - 1) or self._wild_at(t + 1)):
                 continue
             keep.append(t)
@@ -700,10 +691,10 @@ class Chunker:
             best = run
         return best
 
-    def _tail_span(self, window: list[tuple[int, str]]) -> list[int]:
-        if not window:
+    def _tail_span(self, ticks: list[int]) -> list[int]:
+        if not ticks:
             return []
-        return self._trim_noise(self.boundary + 1, window[-1][0], window)
+        return self._trim_noise(self.boundary + 1, ticks[-1], ticks)
 
     # -- internals: closure -------------------------------------------------
 
@@ -744,16 +735,17 @@ class Chunker:
         net.transfer_weight(trace_node, 0.0)
         self._log("split", trace, inherited)
 
-    def _closure(self, window: list[tuple[int, str]]) -> None:
-        """Era consolidation over the given window snapshot."""
+    def _closure(self, ticks: list[int], buffered: str) -> None:
+        """Era consolidation over a window snapshot, given as its tick list
+        and its text."""
         net = self.net
         if self.pending is not None:
-            self._commit_pending(window)
-        tail = self._tail_span(window)
+            self._commit_pending(ticks, buffered)
+        tail = self._tail_span(ticks)
         units = list(self.pending_units)
         self.pending_units = []
         if tail and tail[-1] - tail[0] + 1 >= self.cp.l_min:
-            text = _Window(window).between(tail[0], tail[-1])
+            text = _between(ticks, buffered, tail[0], tail[-1])
             if len(text) == tail[-1] - tail[0] + 1:
                 units.append(Unit(text, tail[0], tail[-1]))
 

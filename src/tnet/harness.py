@@ -319,9 +319,12 @@ def net_from_snapshot(snap: dict) -> Network:
     return net
 
 
+# repr-based float serialization keeps the round trip lossless
+_JSON_LAYOUT = {"sort_keys": True, "indent": 2}
+
+
 def snapshot_json(snap: dict) -> str:
-    # repr-based float serialization keeps the round trip lossless
-    return json.dumps(snap, sort_keys=True, indent=2) + "\n"
+    return json.dumps(snap, **_JSON_LAYOUT) + "\n"
 
 
 def snapshot_dot(snap: dict) -> str:
@@ -352,12 +355,15 @@ def snapshot_dot(snap: dict) -> str:
 
 def export_snapshot(snap: dict, fmt: str, path: str | Path) -> None:
     if fmt == "json":
-        text = snapshot_json(snap)
+        # streamed to the file, so the whole text is never held in memory;
+        # the bytes are those of snapshot_json
+        with open(path, "w", encoding="utf-8") as fp:
+            json.dump(snap, fp, **_JSON_LAYOUT)
+            fp.write("\n")
     elif fmt == "dot":
-        text = snapshot_dot(snap)
+        Path(path).write_text(snapshot_dot(snap), encoding="utf-8")
     else:
         raise ConfigError(f"unknown export format {fmt!r}")
-    Path(path).write_text(text, encoding="utf-8")
 
 
 def import_snapshot(path: str | Path) -> dict:

@@ -97,8 +97,8 @@ class Element:
 
     Built only by :class:`Network`, which registers every new element as
     live.  ``_net`` is a weak reference to that network: it lets a dormant
-    element put itself back on the live list (see :func:`_wake`) without
-    keeping a dropped network alive.
+    or fading element put itself back on the live list (see :func:`_wake`)
+    without keeping a dropped network alive.
     """
 
     __slots__ = ("weight", "activation", "fixated", "above_credits", "credited_tick", "_net")
@@ -152,6 +152,54 @@ def _wake(element: Element, name: str, value) -> None:
     object.__setattr__(element, name, value)
 
 
+# the activation slot itself, for fading elements whose class shadows it
+_activation_slot = Element.__dict__["activation"]
+
+
+def _caught_up(element: Element) -> float:
+    """Activation of a fading element after the fades it has missed.
+
+    It went fading at a tick recorded in its network's ``_fade_start``; each
+    ``end_tick`` since then would have multiplied its activation by the fade
+    factor once.  Those multiplications are applied here one at a time, so
+    the value is bit-identical to the eager update; ``fade ** k`` would not
+    be.  They stop early once ``a * fade == a``: at +0.0 (the element is
+    then dormant) or at the subnormal fixed point, where later fades change
+    nothing.  An orphan, whose network has been dropped, has no clock and
+    reads the value it held when it was last caught up.
+    """
+    a = _activation_slot.__get__(element)
+    net = element._net()
+    if net is None:
+        return a
+    start = net._fade_start
+    missed = net.tick_count - start[element]
+    if missed > 0:
+        fade = 1.0 - net.params.decay_a
+        for _ in range(missed):
+            faded = a * fade
+            if faded == a:
+                break
+            a = faded
+        _activation_slot.__set__(element, a)
+        if a == 0.0:
+            del start[element]
+            object.__setattr__(element, "__class__", element._dormant)
+        else:
+            start[element] = net.tick_count
+    return a
+
+
+def _wake_fading(element: Element, name: str, value) -> None:
+    """``__setattr__`` of a fading element: catch up and leave the fading
+    registry, then wake as a dormant element does."""
+    _caught_up(element)
+    net = element._net()
+    if net is not None:
+        net._fade_start.pop(element, None)
+    _wake(element, name, value)
+
+
 class _DormantNode(Node):
     __slots__ = ()
     __setattr__ = _wake
@@ -164,8 +212,24 @@ class _DormantEdge(Edge):
     _awake = Edge
 
 
+class _FadingNode(Node):
+    __slots__ = ()
+    __setattr__ = _wake_fading
+    activation = property(_caught_up)
+    _awake = Node
+
+
+class _FadingEdge(Edge):
+    __slots__ = ()
+    __setattr__ = _wake_fading
+    activation = property(_caught_up)
+    _awake = Edge
+
+
 Node._dormant = _DormantNode
 Edge._dormant = _DormantEdge
+Node._fading = _FadingNode
+Edge._fading = _FadingEdge
 _creation_order = attrgetter("_order")
 
 
@@ -237,12 +301,16 @@ class Network:
     assume reverse reachability and filter by positive weight when it wants
     only strengthened links.
 
-    Only *live* elements can change on their own: those holding activation,
-    and non-fixated ones holding weight.  ``_live`` lists them, so a tick
-    costs O(live elements), not O(graph).  Every element is born live;
-    :meth:`end_tick` turns one that has gone idle dormant, and any attribute
-    write to a dormant element makes it live again, so callers may keep
-    setting ``weight``, ``activation`` or ``fixated`` by hand.
+    Only *live* elements can change on their own in a way a tick has to
+    visit: non-fixated ones holding weight, and those holding activation
+    that may fire.  ``_live`` lists them, so a tick costs O(live elements),
+    not O(graph).  Every element is born live; :meth:`end_tick` turns one
+    that has gone idle dormant and, in deterministic mode, one that can
+    only fade fading (see :func:`_caught_up`).  Any attribute write to a
+    dormant or fading element makes it live again, so callers may keep
+    setting ``weight``, ``activation`` or ``fixated`` by hand.  The fade
+    factor is read from ``params`` when an element catches up, so
+    ``params`` must not change while elements fade.
     """
 
     def __init__(self, params: Params | None = None, *, seed: int = 0,
@@ -252,12 +320,16 @@ class Network:
         self.mode = mode
         self.tick_count = 0
         self.nodes: dict[str, Node] = {}
+        # chunk nodes in creation order; a node's kind is fixed at creation
+        self.chunk_nodes: list[Node] = []
         self.out: dict[str, dict[str, Edge]] = {}
         self.inc: dict[str, dict[str, Edge]] = {}
         # relays in flight: (edge, strength, against_arrival)
         self._relays: list[tuple[Edge, int, bool]] = []
         # live elements, in no fixed order; a list costs less memory than a set
         self._live: list[Element] = []
+        # fading element -> the tick count its stored activation is current at
+        self._fade_start: dict[Element, int] = {}
         self._ref = weakref.ref(self)
 
     # -- topology ----------------------------------------------------------
@@ -267,6 +339,8 @@ class Network:
             raise TopologyError(f"node {node_id!r} already exists")
         node = Node(self, node_id, kind)
         self.nodes[node_id] = node
+        if kind is NodeKind.CHUNK:
+            self.chunk_nodes.append(node)
         self.out[node_id] = {}
         self.inc[node_id] = {}
         return node
@@ -472,10 +546,17 @@ class Network:
 
         Visits live elements only.  One left with activation exactly +0.0
         and nothing to decay goes dormant until its next attribute write.
+        In deterministic mode, one whose weight cannot decay and whose
+        activation lies in (0, ``fire_threshold``) cannot fire; all that
+        happens to it is the fade, so it goes fading and catches the fades
+        up when read.  In stochastic mode any positive activation may fire,
+        so nothing fades.
         """
         p = self.params
         tick = self.tick_count
         fade = 1.0 - p.decay_a
+        limit = p.fire_threshold if self.mode is FiringMode.DETERMINISTIC else 0.0
+        fade_start = self._fade_start
         live: list[Element] = []
         for element in self._live:
             weight = element.weight
@@ -485,12 +566,16 @@ class Network:
             activation = element.activation
             if activation > 0.0:
                 element.activation = activation = activation * fade
-            if activation > 0.0 or (plastic and weight > 0.0):
+            if plastic and weight > 0.0:
                 live.append(element)
+            elif 0.0 < activation < limit:
+                element.__class__ = element._fading
+                fade_start[element] = tick + 1
             elif activation == 0.0 and math.copysign(1.0, activation) > 0.0:
                 element.__class__ = element._dormant
             else:
-                # negative, -0.0 or NaN: nightly_reset still has to clear it
+                # at or above the fire threshold, or negative, -0.0 or NaN,
+                # which nightly_reset still has to clear
                 live.append(element)
         self._live = live
         self.tick_count += 1
@@ -513,12 +598,18 @@ class Network:
         events: list[Event] = []
         for element in self.elements():
             if element.weight > p.theta:
-                # a dormant element here is fixated and stays idle, so these
-                # writes go past its wake hook
+                # a dormant or fading element here is fixated, and neither
+                # its weight nor its credit count decides its state, so
+                # these writes go past its wake hook
                 weight = element.weight - (element.weight - p.theta) * p.reset_factor
                 object.__setattr__(element, "weight", weight)
                 object.__setattr__(element, "above_credits", 0)
                 events.append(Event(self.tick_count, "reset", element.id, weight))
         for element in self._live:      # dormant activations are already 0.0
             element.activation = 0.0
+        for element in self._fade_start:
+            # cleared, a fading element holds nothing that can change
+            _activation_slot.__set__(element, 0.0)
+            object.__setattr__(element, "__class__", element._dormant)
+        self._fade_start.clear()
         return events

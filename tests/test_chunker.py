@@ -14,7 +14,7 @@ from tnet.chunker import (
     Chunker,
     ChunkerParams,
     Decomposition,
-    _Window,
+    _between,
     allocate_chunk_node,
     decompose_units,
     find_candidates,
@@ -200,13 +200,16 @@ def test_span_lookups_match_window_scan_across_tick_gaps(steps):
             net.end_tick()            # a tick with no symbol: a hole in the buffer
         chunker.observe(symbol)
         buf = chunker.buf
-        view = _Window(buf)
+        # the tick list and text kept as symbols arrive and leave
+        assert chunker._ticks == [t for t, _ in buf]
+        assert chunker._text == "".join(sym for _, sym in buf)
         ticks = range(buf[0][0] - 1, buf[-1][0] + 2)
         for start in ticks:
             for end in ticks:
-                assert view.between(start, end) == joined_between(buf, start, end)
+                assert (_between(chunker._ticks, chunker._text, start, end)
+                        == joined_between(buf, start, end))
                 if start <= end:
-                    assert (chunker._occurs_earlier(view, start, end)
+                    assert (chunker._occurs_earlier(start, end)
                             == scanned_occurs_earlier(buf, chunker.boundary, start, end))
 
 

@@ -17,6 +17,7 @@ from tnet.harness import (
     ExperimentConfig,
     config_from_mapping,
     corpus_fig1,
+    export_snapshot,
     label_set_hash,
     load_config,
     net_from_snapshot,
@@ -269,6 +270,14 @@ def test_snapshot_json_is_canonical():
     assert a == b
     keys = list(json.loads(a).keys())
     assert keys == sorted(keys)
+
+
+def test_streamed_json_export_writes_snapshot_json_bytes(tmp_path):
+    net = random_net(5)
+    snap = snapshot_from_net(net, 5)
+    path = tmp_path / "snap.json"
+    export_snapshot(snap, "json", path)
+    assert path.read_bytes() == snapshot_json(snap).encode("utf-8")
 
 
 def test_dot_export_marks_fixation_and_weight():

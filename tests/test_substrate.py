@@ -20,6 +20,11 @@ from tnet.substrate import (
     Node,
     NodeKind,
     Params,
+    _activation_slot,
+    _DormantEdge,
+    _DormantNode,
+    _FadingEdge,
+    _FadingNode,
     activation_gain,
     clamp_signal,
     counter_uniform,
@@ -425,7 +430,8 @@ class FullScanNetwork(Network):
 
 
 weights = st.sampled_from([0.0, 0.2, 1.0, 1.7, 3.0]) | st.floats(0.0, 3.0)
-activations = st.sampled_from([0.0, 0.0, 0.6, 1.0]) | st.floats(0.0, 1.0)
+# 0.625 fades exactly onto the default fire threshold
+activations = st.sampled_from([0.0, 0.0, 0.6, 0.625, 1.0]) | st.floats(0.0, 1.0)
 
 
 @st.composite
@@ -455,7 +461,9 @@ def build(cls, spec, seed):
 
 
 def steps(spec):
-    """Ticks with sensor input, bare decays, resets and direct writes."""
+    """Ticks with sensor input, bare decays, long runs of bare decays with
+    nothing read, resets, reads and direct writes; a ``check`` compares the
+    snapshot bytes, which reads, and so brings up to date, every element."""
     nodes, edges, _ = spec
     sensors = [rec[0] for rec in nodes if rec[1]]
     ids = [rec[0] for rec in nodes] + [(src, dst) for src, dst, *_ in edges]
@@ -465,12 +473,16 @@ def steps(spec):
         st.tuples(st.just("weight"), weights),
         st.tuples(st.just("activation"), activations),
         st.tuples(st.just("fixated"), st.booleans()),
-        st.tuples(st.just("above_credits"), st.integers(0, 3)))
+        st.tuples(st.just("above_credits"), st.integers(0, 3)),
+        st.tuples(st.just("credited_tick"), st.integers(-1, 50)))
     return st.lists(st.one_of(
         st.tuples(st.just("tick"), inputs),
         st.tuples(st.just("end_tick"), st.none()),
+        st.tuples(st.just("idle"), st.integers(2, 4000)),
         st.tuples(st.just("reset"), st.none()),
+        st.tuples(st.just("read"), st.sampled_from(ids)),
         st.tuples(st.just("write"), st.tuples(st.sampled_from(ids), writes)),
+        st.tuples(st.just("check"), st.none()),
     ), max_size=40)
 
 
@@ -482,6 +494,51 @@ def full_state(net):
     rows = [(n.id, n.above_credits, n.credited_tick, n.last_fired) for n in net.nodes.values()]
     rows += [(e.id, e.above_credits, e.credited_tick) for e in net.edges()]
     return snapshot_json(snapshot_from_net(net, net.seed)), rows, net.quiescent()
+
+
+def peeked_state(net):
+    """Every field of every element without bringing any fading element up
+    to date: a fading activation is worked out here from the stored value
+    by eager fades, which change nothing once ``a * fade == a``."""
+    fade = 1.0 - net.params.decay_a
+
+    def activation(element):
+        a = _activation_slot.__get__(element)
+        for _ in range(net.tick_count - net._fade_start.get(element, net.tick_count)):
+            if a * fade == a:
+                break
+            a *= fade
+        return a
+
+    rows = [(n.id, n.weight, activation(n), n.fixated, n.above_credits, n.credited_tick,
+             n.last_fired) for n in net.nodes.values()]
+    rows += [(e.id, e.weight, activation(e), e.fixated, e.above_credits, e.credited_tick)
+             for e in net.edges()]
+    return rows, net.tick_count, net.quiescent()
+
+
+def assert_three_states(net):
+    """Every element is live, fading or dormant, and only a live one can
+    change in a way a tick has to visit.  Reads the activation slot itself,
+    so the check brings no fading element up to date."""
+    live = set(map(id, net._live))
+    assert len(live) == len(net._live)
+    fading = set(map(id, net._fade_start))
+    assert not live & fading
+    for element in net.elements():
+        activation = _activation_slot.__get__(element)
+        if id(element) in live:
+            assert type(element) in (Node, Edge)
+            continue
+        assert element.fixated or element.weight <= 0.0
+        if id(element) in fading:
+            assert type(element) in (_FadingNode, _FadingEdge)
+            assert net.mode is FiringMode.DETERMINISTIC
+            assert 0.0 < activation < net.params.fire_threshold
+            assert net._fade_start[element] <= net.tick_count
+        else:
+            assert type(element) in (_DormantNode, _DormantEdge)
+            assert activation == 0.0
 
 
 @given(data=st.data())
@@ -496,27 +553,55 @@ def test_active_set_matches_full_scan(data):
             got, want = fast.tick(arg), slow.tick(arg)
         elif kind == "end_tick":
             got, want = fast.end_tick(), slow.end_tick()
+        elif kind == "idle":
+            for _ in range(arg):
+                fast.end_tick()
+                slow.end_tick()
+            got = want = None
         elif kind == "reset":
             got, want = fast.nightly_reset(), slow.nightly_reset()
+        elif kind == "read":
+            got, want = element_of(fast, arg).activation, element_of(slow, arg).activation
+        elif kind == "check":
+            got, want = full_state(fast), full_state(slow)
         else:
             key, (attr, value) = arg
             setattr(element_of(fast, key), attr, value)
             setattr(element_of(slow, key), attr, value)
             got = want = None
         assert got == want
-        assert full_state(fast) == full_state(slow)
-        # nothing outside the live list can change on its own
-        live = set(map(id, fast._live))
-        for element in fast.elements():
-            if id(element) not in live:
-                assert element.activation == 0.0
-                assert element.fixated or element.weight <= 0.0
-                assert type(element) not in (Node, Edge)
+        assert peeked_state(fast) == peeked_state(slow)
+        assert_three_states(fast)
+    assert full_state(fast) == full_state(slow)
 
 
-def idle_ring(n: int) -> Network:
+def test_fading_stops_at_the_subnormal_fixed_point():
+    """Default fading never reaches +0.0: it sticks where ``a * 0.8 == a``.
+    An element left there for 5000 ticks, unread, stays off the live list
+    and reads what 5000 eager fades give, bit for bit."""
+    fast, slow = idle_ring(3), idle_ring(3, FullScanNetwork)
+    for net in (fast, slow):
+        net.node("r0").activation = 0.4
+    for _ in range(5000):
+        fast.end_tick()
+        slow.end_tick()
+    node = fast.node("r0")
+    assert node not in fast._live and type(node) is _FadingNode
+    want = 0.4
+    for _ in range(5000):
+        want *= 1.0 - fast.params.decay_a
+    assert node.activation == want == slow.node("r0").activation == 1e-323
+    node.weight = 1.6                     # wakes it
+    assert node in fast._live and node not in fast._fade_start
+    slow.node("r0").weight = 1.6
+    fast.end_tick()
+    slow.end_tick()
+    assert full_state(fast) == full_state(slow)
+
+
+def idle_ring(n: int, cls=Network) -> Network:
     """A fixated ring of ``n`` nodes with no activation anywhere."""
-    net = make_net()
+    net = cls(Params(), seed=0)
     for i in range(n):
         node = net.add_node(f"r{i}")
         node.weight, node.fixated = 1.5, True
@@ -540,7 +625,12 @@ def test_idle_elements_leave_the_live_list():
     assert [e.kind for e in events] == ["fire"]
     assert {e.id for e in net._live} == {"r3"}
     net.tick()                            # the relay lands and wakes r3->r4 and r4
-    assert {e.id for e in net._live} >= {"r3->r4", "r4"}
+    assert "r3" in {e.id for e in net._live}
+    # below the fire threshold, fixated and with no plastic weight, both
+    # can only fade, so they wait on the fading registry
+    assert {e.id for e in net._fade_start} >= {"r3->r4", "r4"}
+    assert type(net.node("r4")) is _FadingNode
+    assert type(net.edge("r3", "r4")) is _FadingEdge
 
 
 def test_fire_events_keep_node_creation_order():
@@ -553,15 +643,18 @@ def test_fire_events_keep_node_creation_order():
 
 
 def test_tick_cost_follows_live_elements_not_graph_size():
-    """An idle graph's tick visits only what the external input touches."""
+    """An idle graph's tick visits only what the external input touches.
+
+    The credit fixates ``s`` and its activation stays below the fire
+    threshold, so it leaves the live list for the fading registry."""
     visited = []
     for n in (20, 2000):
         net = idle_ring(n)
         net.add_node("s", NodeKind.SENSORY).weight = 1.0
         net.tick()
         net.tick({"s": 2})
-        visited.append(len(net._live))
-    assert visited[0] == visited[1] == 1
+        visited.append(([e.id for e in net._live], [e.id for e in net._fade_start]))
+    assert visited[0] == visited[1] == ([], ["s"])
 
 
 def test_dropped_network_is_freed_and_orphans_accept_writes():
