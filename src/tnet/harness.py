@@ -152,9 +152,12 @@ class ExperimentConfig:
     version: int = SCHEMA_VERSION
 
     def __post_init__(self) -> None:
-        # a section given as a mapping (YAML, or a Python caller) is built here
+        # every field must have its annotated type, as from YAML; a section
+        # given as a mapping (YAML, or a Python caller) is built here
         for name, hint in get_type_hints(ExperimentConfig).items():
             value, cls = getattr(self, name), _section_class(hint)
+            if not _conforms(value, hint):
+                raise ConfigError(f"{name}: expected {_expected(hint)}, got {value!r}")
             if cls is not None and isinstance(value, Mapping):
                 setattr(self, name, _build_innate(value) if cls is InnateSpec
                         else _build_section(name, cls, value))
@@ -190,6 +193,12 @@ def _conforms(value, hint) -> bool:
     return isinstance(value, (int, float) if hint is float else hint)
 
 
+def _expected(hint) -> str:
+    """``hint`` as an error message names it."""
+    return ("a mapping" if _section_class(hint) is not None
+            else str(hint) if get_args(hint) else hint.__name__)
+
+
 def _build_section(name: str, cls, data):
     """Build the dataclass ``cls`` from the mapping ``data``.
 
@@ -210,9 +219,8 @@ def _build_section(name: str, cls, data):
             if f.default is MISSING and f.default_factory is MISSING:
                 raise ConfigError(f"{name}.{f.name}: required")
         elif not _conforms(data[f.name], hint):
-            expected = ("a mapping" if _section_class(hint) is not None
-                        else str(hint) if get_args(hint) else hint.__name__)
-            raise ConfigError(f"{name}.{f.name}: expected {expected}, got {data[f.name]!r}")
+            raise ConfigError(
+                f"{name}.{f.name}: expected {_expected(hint)}, got {data[f.name]!r}")
     try:
         return cls(**data)
     except ValueError as exc:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 from typing import Hashable, Iterable, Sequence
 
 from .errors import CompositionError, StochasticityError
@@ -60,12 +61,11 @@ class Transducer:
             for (nxt, out), p in row.items():
                 if nxt not in states or out not in outs:
                     raise StochasticityError(f"entry {(nxt, out)!r} outside declared sets")
-                if p < 0.0:
-                    raise StochasticityError(f"negative probability {p!r} in row {(state, sym)!r}")
+                if not p >= 0.0:  # also rejects NaN
+                    raise StochasticityError(
+                        f"probability {p!r} in row {(state, sym)!r} is negative or NaN")
                 total += p
-            if abs(total - 1.0) > ROW_SUM_TOL:
-                raise StochasticityError(
-                    f"row {(state, sym)!r} sums to {total!r}, expected 1 ± {ROW_SUM_TOL}")
+            _check_row_sum((state, sym), total)
 
     # -- queries -----------------------------------------------------------
 
@@ -76,20 +76,19 @@ class Transducer:
         except KeyError:
             raise StochasticityError(f"no row for {(state, symbol)!r}") from None
 
-    def _cumulative(self, state: State, symbol: Symbol):
-        key = (state, symbol)
-        cached = self._cum.get(key)
-        if cached is None:
-            row = self.distribution(state, symbol)
-            outcomes = list(row)
-            weights: list[float] = []
-            acc = 0.0
-            for o in outcomes:
-                acc += row[o]
-                weights.append(acc)
-            weights[-1] = max(weights[-1], 1.0)  # guard the last bin against rounding
-            cached = (weights, outcomes)
-            self._cum[key] = cached
+    def _cumulative(self, key: tuple[State, Symbol]):
+        """Build and cache the cumulative weights and outcomes of row ``key``."""
+        row = self.distribution(*key)
+        probs = list(row.values())
+        weights = list(accumulate(probs, initial=0.0))
+        del weights[0]
+        # Guard against rounding: every bin from the last outcome of positive
+        # probability on reaches 1, so no draw lands on a trailing zero.
+        last = len(probs) - 1
+        while not probs[last] > 0.0:
+            last -= 1
+        weights[last:] = [max(w, 1.0) for w in weights[last:]]
+        cached = self._cum[key] = (weights, list(row))
         return cached
 
     # -- dynamics ----------------------------------------------------------
@@ -97,15 +96,21 @@ class Transducer:
     def step(self, state: State, symbol: Symbol,
              rng: random.Random) -> tuple[State, Symbol]:
         """Advance one step, consuming exactly one uniform draw from ``rng``."""
-        cum, outcomes = self._cumulative(state, symbol)
+        key = (state, symbol)
+        cum, outcomes = self._cum.get(key) or self._cumulative(key)
         return outcomes[bisect_right(cum, rng.random())]
 
     def run(self, state: State, symbols: Iterable[Symbol],
             rng: random.Random) -> tuple[State, list[Symbol]]:
-        """Feed a symbol sequence; return the final state and the outputs."""
+        """Feed a symbol sequence; return the final state and the outputs.
+
+        Each symbol is one ``step``, inlined: one cache lookup, one draw."""
+        cached, draw = self._cum.get, rng.random
         out: list[Symbol] = []
         for sym in symbols:
-            state, produced = self.step(state, sym, rng)
+            key = (state, sym)
+            cum, outcomes = cached(key) or self._cumulative(key)
+            state, produced = outcomes[bisect_right(cum, draw())]
             out.append(produced)
         return state, out
 
@@ -130,24 +135,60 @@ def compose(first: Transducer, second: Transducer) -> Transducer:
     is marginalized:
 
         P((s1,s2), x -> (t1,t2), z) = sum_y P1(s1,x -> t1,y) * P2(s2,y -> t2,z)
+
+    Each composite entry adds its products in order of row1 entry, then row2
+    entry, and each row lists its keys in the order they are first reached;
+    no tuple is built or hashed per product.
     """
     if set(first.out_alphabet) != set(second.in_alphabet):
         raise CompositionError(
             f"intermediate alphabets differ: {first.out_alphabet!r} vs {second.in_alphabet!r}")
 
-    states = tuple((a, b) for a in first.states for b in second.states)
+    # Index second's rows once: each (t2, z) is a column, numbered in order
+    # of first appearance, and a row is a list of (column, p2).
+    columns: dict[tuple[State, Symbol], int] = {}
+    rows2: dict[State, dict[Symbol, list[tuple[int, float]]]] = {s2: {} for s2 in second.states}
+    for (s2, y), row2 in second.table.items():
+        rows2[s2][y] = [(columns.setdefault(o, len(columns)), p2) for o, p2 in row2.items()]
+    # Composite key ((t1, t2), z) sits at block(t1) + column.
+    block = {t1: i * len(columns) for i, t1 in enumerate(first.states)}
+    keys = [((t1, t2), z) for t1 in first.states for t2, z in columns]
+
     table: dict[tuple[State, Symbol], dict[tuple[State, Symbol], float]] = {}
     for (s1, x), row1 in first.table.items():
+        entries = [(block[t1], y, p1) for (t1, y), p1 in row1.items()]
         for s2 in second.states:
-            row: dict[tuple[State, Symbol], float] = {}
-            for (t1, y), p1 in row1.items():
-                row2 = second.table.get((s2, y))
+            by_symbol = rows2[s2]
+            acc: list[float | None] = [None] * len(keys)
+            order: list[int] = []
+            for base, y, p1 in entries:
+                row2 = by_symbol.get(y)
                 if row2 is None:
                     raise CompositionError(
                         f"second transducer has no row for {(s2, y)!r}")
-                for (t2, z), p2 in row2.items():
-                    key = ((t1, t2), z)
-                    row[key] = row.get(key, 0.0) + p1 * p2
-            table[((s1, s2), x)] = row
-    return Transducer(states=states, in_alphabet=first.in_alphabet,
-                      out_alphabet=second.out_alphabet, table=table)
+                for column, p2 in row2:
+                    i = base + column
+                    a = acc[i]
+                    if a is None:
+                        acc[i] = 0.0 + p1 * p2
+                        order.append(i)
+                    else:
+                        acc[i] = a + p1 * p2
+            table[((s1, s2), x)] = {keys[i]: acc[i] for i in order}
+
+    # Keys come from the declared sets and entries are products of validated
+    # probabilities, so of the checks in ``validate`` only the row sums remain.
+    for key, row in table.items():
+        _check_row_sum(key, sum(row.values()))
+    composite = object.__new__(Transducer)  # skips the full validate
+    composite.__dict__.update(
+        states=tuple((a, b) for a in first.states for b in second.states),
+        in_alphabet=first.in_alphabet, out_alphabet=second.out_alphabet,
+        table=table, _cum={})
+    return composite
+
+
+def _check_row_sum(key: tuple[State, Symbol], total: float) -> None:
+    if not abs(total - 1.0) <= ROW_SUM_TOL:  # also rejects NaN
+        raise StochasticityError(
+            f"row {key!r} sums to {total!r}, expected 1 ± {ROW_SUM_TOL}")

@@ -203,6 +203,22 @@ def test_config_rejects_unknown_kind():
         ExperimentConfig(kind="telepathy")
 
 
+@pytest.mark.parametrize("field, value", [
+    pytest.param("seed", "1", id="seed-string"),
+    pytest.param("seed", 1.0, id="seed-float"),
+    pytest.param("deterministic", "false", id="deterministic-string"),
+    pytest.param("corpus", ["fig1a"], id="corpus-list"),
+    pytest.param("out", 1, id="out-int"),
+    pytest.param("version", True, id="version-bool"),
+    pytest.param("params", 5, id="params-int"),
+    pytest.param("plan", ["S", "G"], id="plan-list"),
+])
+def test_config_built_in_python_checks_field_types(field, value):
+    # a library caller gets the same type checks as a YAML config
+    with pytest.raises(ConfigError, match=f"^{field}: expected"):
+        ExperimentConfig(**{"kind": "segment", "corpus": "fig1a", field: value})
+
+
 def test_load_config_yaml(tmp_path):
     path = tmp_path / "cfg.yaml"
     path.write_text("kind: segment\ncorpus: fig1a\nseed: 9\n"

@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import math
 import random
+from bisect import bisect_right
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tnet.errors import CompositionError, StochasticityError
@@ -54,6 +56,12 @@ def test_negative_probability_rejected():
                    table={("s", "a"): {("s", "b"): 1.5, ("s", "b2"): -0.5}})
 
 
+def test_nan_probability_rejected():
+    with pytest.raises(StochasticityError):
+        Transducer(states=("s",), in_alphabet=("a",), out_alphabet=("b", "c"),
+                   table={("s", "a"): {("s", "b"): math.nan, ("s", "c"): 1.0}})
+
+
 def test_identity_copies_input():
     t = Transducer.identity("abc")
     rng = random.Random(0)
@@ -89,6 +97,28 @@ def test_step_frequencies_match_distribution():
         freq = counts.get(outcome, 0) / n
         se = (p * (1 - p) / n) ** 0.5
         assert abs(freq - p) < 4 * se + 1e-9
+
+
+class FixedDraw:
+    """Stub rng: every draw returns ``value``."""
+
+    def __init__(self, value: float) -> None:
+        self.value = value
+
+    def random(self) -> float:
+        return self.value
+
+
+def test_trailing_zero_outcome_is_never_drawn():
+    # The row validates, but its bins only reach 1 - 1e-12: a draw in that
+    # gap must land on the last outcome of positive probability, never on
+    # the zero-probability outcome after it.
+    t = Transducer(states=("s",), in_alphabet=("x",), out_alphabet=("a", "b", "c"),
+                   table={("s", "x"): {("s", "a"): 0.1, ("s", "b"): 0.9 - 1e-12,
+                                       ("s", "c"): 0.0}})
+    draw = 0.9999999999995
+    assert t.step("s", "x", FixedDraw(draw)) == ("s", "b")
+    assert t.run("s", "xx", FixedDraw(draw)) == ("s", ["b", "b"])
 
 
 # ---------------------------------------------------------------------------
@@ -153,3 +183,119 @@ def test_composed_run_is_deterministic_under_seed(seed):
     first = comp.run(comp.states[0], symbols, random.Random(99))
     second = comp.run(comp.states[0], symbols, random.Random(99))
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# differential: compose and run against the plain dict-accumulating versions
+# ---------------------------------------------------------------------------
+
+def reference_compose(first: Transducer, second: Transducer) -> Transducer:
+    """The former ``compose``: accumulates into the row dict by key, and builds
+    the composite through the constructor, so it runs the full ``validate``."""
+    if set(first.out_alphabet) != set(second.in_alphabet):
+        raise CompositionError(
+            f"intermediate alphabets differ: {first.out_alphabet!r} vs {second.in_alphabet!r}")
+    states = tuple((a, b) for a in first.states for b in second.states)
+    table = {}
+    for (s1, x), row1 in first.table.items():
+        for s2 in second.states:
+            row = {}
+            for (t1, y), p1 in row1.items():
+                row2 = second.table.get((s2, y))
+                if row2 is None:
+                    raise CompositionError(
+                        f"second transducer has no row for {(s2, y)!r}")
+                for (t2, z), p2 in row2.items():
+                    key = ((t1, t2), z)
+                    row[key] = row.get(key, 0.0) + p1 * p2
+            table[((s1, s2), x)] = row
+    return Transducer(states=states, in_alphabet=first.in_alphabet,
+                      out_alphabet=second.out_alphabet, table=table)
+
+
+def reference_run(t: Transducer, state, symbols, rng: random.Random):
+    """The former ``run``: per symbol, the row's running sums with only the
+    last bin lifted to 1, and one draw.  It differs from ``run`` only on a
+    draw between a row's rounded sum and 1 when the row ends in zero entries
+    (``test_trailing_zero_outcome_is_never_drawn``)."""
+    out = []
+    for sym in symbols:
+        row = t.table[(state, sym)]
+        outcomes, weights, acc = list(row), [], 0.0
+        for o in outcomes:
+            acc += row[o]
+            weights.append(acc)
+        weights[-1] = max(weights[-1], 1.0)
+        state, produced = outcomes[bisect_right(weights, rng.random())]
+        out.append(produced)
+    return state, out
+
+
+@st.composite
+def sparse_transducers(draw, states, ins, outs, drop_row=False):
+    """Rows over a random subset of outcomes, listed in shuffled order, with
+    some explicit 0.0 entries; with ``drop_row``, maybe one row missing."""
+    outcomes = [(t, y) for t in states for y in outs]
+    table = {}
+    for s in states:
+        for x in ins:
+            keys = draw(st.permutations(outcomes))[:draw(st.integers(1, len(outcomes)))]
+            raw = draw(st.lists(st.integers(0, 5), min_size=len(keys), max_size=len(keys)))
+            raw[draw(st.integers(0, len(keys) - 1))] += 1  # at least one positive entry
+            total = sum(raw)
+            table[(s, x)] = {k: w / total for k, w in zip(keys, raw)}
+    if drop_row and draw(st.booleans()):
+        del table[draw(st.sampled_from(sorted(table)))]
+    return Transducer(states=tuple(states), in_alphabet=tuple(ins),
+                      out_alphabet=tuple(outs), table=table)
+
+
+@st.composite
+def transducer_pairs(draw):
+    """``first`` with every row, ``second`` possibly one row short; the
+    intermediate alphabet is listed in a different order on each side."""
+    alphabet = st.integers(1, 3).map(lambda n: "abc"[:n])
+    ins, mid, outs = draw(alphabet), draw(alphabet), draw(alphabet)
+    states1 = list(range(draw(st.integers(1, 4))))
+    states2 = list("pqrs"[:draw(st.integers(1, 4))])
+    first = draw(sparse_transducers(states1, ins, mid))
+    second = draw(sparse_transducers(states2, draw(st.permutations(mid)), outs, drop_row=True))
+    return first, second
+
+
+FLIP = Transducer(
+    states=("s",), in_alphabet=("0", "1"), out_alphabet=("0", "1"),
+    table={("s", "0"): {("s", "0"): 0.9, ("s", "1"): 0.1},
+           ("s", "1"): {("s", "1"): 0.9, ("s", "0"): 0.1}},
+)
+
+
+@given(pair=transducer_pairs(), seed=st.integers(0, 2**32 - 1))
+@example(pair=(FLIP, FLIP), seed=0)
+@settings(max_examples=150, deadline=None)
+def test_compose_and_run_match_reference(pair, seed):
+    first, second = pair
+    try:
+        want = reference_compose(first, second)
+    except CompositionError as exc:
+        with pytest.raises(CompositionError) as got_exc:
+            compose(first, second)
+        assert str(got_exc.value) == str(exc)
+        return
+    got = compose(first, second)
+    assert got.states == want.states
+    assert list(got.table) == list(want.table)
+    for key, row in want.table.items():
+        assert list(got.table[key].items()) == list(row.items())
+    got.validate()
+
+    symbols = random.Random(seed).choices(first.in_alphabet, k=40)
+    start = got.states[seed % len(got.states)]
+    rng_got, rng_want = random.Random(seed), random.Random(seed)
+    assert got.run(start, symbols, rng_got) == reference_run(want, start, symbols, rng_want)
+    assert rng_got.getstate() == rng_want.getstate()
+
+
+def test_readme_flip_twice():
+    twice = compose(FLIP, FLIP)
+    assert twice.table[(("s", "s"), "0")][(("s", "s"), "0")] == pytest.approx(0.82)
