@@ -227,21 +227,48 @@ def _build_section(name: str, cls, data):
         raise ConfigError(f"{name}: {exc}") from exc
 
 
-def _build_innate(data: dict) -> InnateSpec:
-    if not isinstance(data, dict):
-        raise ConfigError("innate: expected a mapping")
-    unknown = set(data) - {"nodes", "edges", "rewards"}
-    if unknown:
-        raise ConfigError(f"innate: unknown fields {sorted(unknown)}")
-    try:
-        nodes = [(n["id"], n.get("kind", "plain"), float(n["weight"]))
-                 for n in data.get("nodes", [])]
-        edges = [(e["src"], e["dst"], float(e["weight"]))
-                 for e in data.get("edges", [])]
-        rewards = [(pair[0], pair[1]) for pair in data.get("rewards", [])]
-    except (KeyError, IndexError, TypeError, ValueError) as exc:
-        raise ConfigError(f"innate: {exc}") from exc
-    return InnateSpec(nodes=nodes, edges=edges, reward_bindings=rewards)
+@dataclass
+class InnateSection:
+    """``innate:`` as a config gives it; ``_build_innate`` makes the
+    :class:`InnateSpec`.  Each ``rewards`` entry is a ``[reward, effector]``
+    pair."""
+    nodes: list[dict] = field(default_factory=list)    # InnateNode records
+    edges: list[dict] = field(default_factory=list)    # InnateEdge records
+    rewards: list[list[str]] = field(default_factory=list)
+
+
+@dataclass
+class InnateNode:
+    """One ``innate.nodes`` record."""
+    id: str
+    weight: float
+    kind: str = "plain"
+
+    def __post_init__(self) -> None:
+        NodeKind(self.kind)     # ValueError names a kind that does not exist
+
+
+@dataclass
+class InnateEdge:
+    """One ``innate.edges`` record."""
+    src: str
+    dst: str
+    weight: float
+
+
+def _build_innate(data) -> InnateSpec:
+    """Build ``innate:`` and each of its records through ``_build_section``."""
+    section = _build_section("innate", InnateSection, data)
+    nodes = [_build_section(f"innate.nodes[{i}]", InnateNode, record)
+             for i, record in enumerate(section.nodes)]
+    edges = [_build_section(f"innate.edges[{i}]", InnateEdge, record)
+             for i, record in enumerate(section.edges)]
+    for i, pair in enumerate(section.rewards):
+        if len(pair) != 2:
+            raise ConfigError(f"innate.rewards[{i}]: expected [reward, effector], got {pair!r}")
+    return InnateSpec(nodes=[(n.id, n.kind, float(n.weight)) for n in nodes],
+                      edges=[(e.src, e.dst, float(e.weight)) for e in edges],
+                      reward_bindings=[tuple(pair) for pair in section.rewards])
 
 
 def _load_yaml(path: str | Path, what: str):

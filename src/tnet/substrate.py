@@ -233,7 +233,7 @@ Edge._fading = _FadingEdge
 _creation_order = attrgetter("_order")
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """One line of the run log: what happened to which element, when."""
     tick: int
@@ -422,17 +422,18 @@ class Network:
         credited element skips weight decay this tick.
         """
         p = self.params
-        if element.weight >= p.theta:
+        weight = element.weight
+        above = weight >= p.theta
+        if above:
             element.above_credits += 1
-            element.weight = min(p.w_max,
-                                 element.weight + p.dw * p.beta ** element.above_credits)
+            weight += p.dw * p.beta ** element.above_credits
         else:
-            step = amount if amount is not None else p.dw * (p.boost if boost else 1.0)
-            element.weight = min(p.w_max, element.weight + step)
-            if element.weight >= p.theta:
-                element.fixated = True
+            weight += amount if amount is not None else p.dw * (p.boost if boost else 1.0)
+        element.weight = weight = weight if weight < p.w_max else p.w_max
+        if not above and weight >= p.theta:
+            element.fixated = True
         element.credited_tick = self.tick_count
-        return element.weight
+        return weight
 
     def transfer_weight(self, element: Element, weight: float) -> None:
         """Overwrite a non-fixated element's weight (trace rewriting)."""
@@ -443,10 +444,15 @@ class Network:
     def bump_activation(self, element: Element, value: int) -> bool:
         """Apply one signal to an element's activation; True if it rose."""
         p = self.params
+        if not -SIGNAL_MAX <= value <= SIGNAL_MAX:
+            value = clamp_signal(value)
         before = element.activation
-        a = before + activation_gain(clamp_signal(value), element.weight, p)
-        element.activation = min(p.a_max, max(0.0, a))
-        return element.activation > before
+        # activation_gain and min(a_max, max(0.0, a)), spelled out: each
+        # conditional picks the same operand as max/min on ties, ±0.0 and NaN
+        a = before + value * (0.2 + 0.3 * element.weight / p.w_max) / 3.0
+        a = a if a > 0.0 else 0.0
+        element.activation = a = a if a < p.a_max else p.a_max
+        return a > before
 
     def apply_signal(self, node_id: str, value: int) -> bool:
         return self.bump_activation(self.node(node_id), value)
@@ -477,8 +483,13 @@ class Network:
         5. decay: uncredited non-fixated weights shrink, all activations fade.
         """
         p = self.params
+        nodes = self.nodes
         events: list[Event] = []
+        emit = events.append
         tick = self.tick_count
+        fire_threshold = p.fire_threshold
+        # relays carry signal_out's strengths, ±1..3, so each echo is a lookup
+        back = {s: signal_back(s, p) for s in range(-SIGNAL_MAX, SIGNAL_MAX + 1)}
 
         inbox: dict[str, int] = {}
         arrived_from: dict[str, set[str]] = {}
@@ -488,17 +499,23 @@ class Network:
             # Delivering into a node that is already at firing level is an
             # echo (returning or redundant drive): attenuate by the floor
             # rule.  This is what makes waves in directed cycles die out.
-            echo = against or self.nodes[edge.dst].activation >= p.fire_threshold
-            out = signal_back(strength, p) if echo else signal_out(
-                strength, edge.weight, edge.activation, p)
+            src, dst = edge.src, edge.dst
+            if against or nodes[dst].activation >= fire_threshold:
+                out = back[strength]
+            else:
+                out = signal_out(strength, edge.weight, edge.activation, p)
             if out == 0:
                 continue
             if self.bump_activation(edge, out):
                 rose.append(edge)
-            events.append(Event(tick, "relay", edge.id, out))
-            inbox[edge.dst] = clamp_signal(inbox.get(edge.dst, 0) + out)
-            arrived_from.setdefault(edge.dst, set()).add(edge.src)
-        self._relays = []
+            emit(Event(tick, "relay", f"{src}->{dst}", out))
+            inbox[dst] = clamp_signal(inbox.get(dst, 0) + out)
+            sources = arrived_from.get(dst)
+            if sources is None:
+                arrived_from[dst] = {src}
+            else:
+                sources.add(src)
+        self._relays = relays = []
 
         if external:
             for node_id, value in external.items():
@@ -510,10 +527,10 @@ class Network:
                 inbox[node_id] = clamp_signal(inbox.get(node_id, 0) + value)
 
         for node_id, value in inbox.items():
-            node = self.nodes[node_id]
+            node = nodes[node_id]
             if self.bump_activation(node, value):
                 rose.append(node)
-            events.append(Event(tick, "deliver", node_id, value))
+            emit(Event(tick, "deliver", node_id, value))
 
         # only live nodes hold activation; creation order keeps event order
         fired = [node for node in self._live
@@ -527,16 +544,18 @@ class Network:
                 # activation itself is worth
                 drive = max(1, round(SIGNAL_MAX * node.activation / p.a_max))
             emitted = signal_out(drive, node.weight, node.activation, p)
-            events.append(Event(tick, "fire", node.id, emitted))
+            emit(Event(tick, "fire", node.id, emitted))
             came_from = arrived_from.get(node.id, ())
             for dst, edge in self.out[node.id].items():
-                self._relays.append((edge, emitted, dst in came_from))
+                relays.append((edge, emitted, dst in came_from))
             node.last_fired = tick
 
         for element in rose:
-            boost = isinstance(element, Edge) and self.nodes[element.dst].fixated
-            new_w = self.update_weight(element, boost=boost)
-            events.append(Event(tick, "update", element.id, new_w))
+            if type(element) is Node:
+                emit(Event(tick, "update", element.id, self.update_weight(element)))
+            else:
+                new_w = self.update_weight(element, boost=nodes[element.dst].fixated)
+                emit(Event(tick, "update", f"{element.src}->{element.dst}", new_w))
 
         self.end_tick()
         return events
@@ -594,17 +613,27 @@ class Network:
         the diminishing-credit counters restart so consolidated elements can
         strengthen again.
         """
-        p = self.params
+        theta, factor = self.params.theta, self.params.reset_factor
+        tick = self.tick_count
         events: list[Event] = []
-        for element in self.elements():
-            if element.weight > p.theta:
-                # a dormant or fading element here is fixated, and neither
-                # its weight nor its credit count decides its state, so
-                # these writes go past its wake hook
-                weight = element.weight - (element.weight - p.theta) * p.reset_factor
-                object.__setattr__(element, "weight", weight)
-                object.__setattr__(element, "above_credits", 0)
-                events.append(Event(self.tick_count, "reset", element.id, weight))
+
+        def shed(element_id: str, element: Element) -> None:
+            # a dormant or fading element here is fixated, and neither its
+            # weight nor its credit count decides its state, so these
+            # writes go past its wake hook
+            weight = element.weight - (element.weight - theta) * factor
+            object.__setattr__(element, "weight", weight)
+            object.__setattr__(element, "above_credits", 0)
+            events.append(Event(tick, "reset", element_id, weight))
+
+        # the order of elements(), with an edge's id formatted only when needed
+        for node_id, node in self.nodes.items():
+            if node.weight > theta:
+                shed(node_id, node)
+        for src, adjacency in self.out.items():
+            for dst, edge in adjacency.items():
+                if edge.weight > theta:
+                    shed(f"{src}->{dst}", edge)
         for element in self._live:      # dormant activations are already 0.0
             element.activation = 0.0
         for element in self._fade_start:

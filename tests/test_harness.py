@@ -128,6 +128,21 @@ MALFORMED = [
                  "params.dw", id="params.dw-string"),
     pytest.param("kind: segment\ncorpus: fig1b\n", "dw: [\"0.3\"]\n",
                  "grid.dw", id="grid.dw-string"),
+    pytest.param("kind: custom\ninnate: {nodes: [{id: a, weight: true}]}\n", None,
+                 "innate.nodes[0].weight", id="innate.nodes.weight-bool"),
+    pytest.param("kind: custom\ninnate: {nodes: [{id: a, weight: \"2.0\"}]}\n", None,
+                 "innate.nodes[0].weight", id="innate.nodes.weight-string"),
+    pytest.param("kind: custom\ninnate: {nodes: [{id: a, weight: 2.0, colour: red}]}\n", None,
+                 "innate.nodes[0]: unknown fields ['colour']", id="innate.nodes-unknown-colour"),
+    pytest.param("kind: custom\ninnate: {nodes: [{id: 7, weight: 2.0}]}\n", None,
+                 "innate.nodes[0].id", id="innate.nodes.id-int"),
+    pytest.param("kind: custom\ninnate: {nodes: [{id: a, weight: 2.0, kind: bogus}]}\n", None,
+                 "innate.nodes[0]", id="innate.nodes.kind-bogus"),
+    pytest.param("kind: custom\ninnate: {edges: [{src: a, dst: b, weight: [2]}]}\n", None,
+                 "innate.edges[0].weight", id="innate.edges.weight-list"),
+    pytest.param("kind: custom\ninnate:\n  nodes: [{id: a, weight: 2.0}, {id: b, weight: 2.0}]\n"
+                 "  rewards: [[a, b, x]]\n", None,
+                 "innate.rewards[0]", id="innate.rewards-three"),
 ]
 
 
