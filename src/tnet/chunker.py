@@ -41,13 +41,10 @@ class ChunkerParams:
 
     ``buffer_len``    sliding-window size W, in symbols
     ``l_min``         minimum chunk length; shorter spans are never chunked
-    ``window_coact``  max tick gap between consecutive members for them to
-                      count as co-activated at chunk allocation
     """
 
     buffer_len: int = 24
     l_min: int = 2
-    window_coact: int = 3
 
     def __post_init__(self) -> None:
         if self.l_min < 2:
@@ -347,7 +344,6 @@ class Chunker:
     def __init__(self, net: Network, params: ChunkerParams | None = None) -> None:
         self.net = net
         self.cp = params if params is not None else ChunkerParams()
-        self.buf: list[tuple[int, str]] = []
         # the buffer's ticks and its text, kept as symbols arrive and leave
         self._ticks: list[int] = []
         self._text: str = ""
@@ -387,13 +383,11 @@ class Chunker:
             self._wild_snapshot = None
         self._last_wild = wild
 
-        self.buf.append((tick, symbol))
         self._ticks.append(tick)
         self._text += symbol
         self._tick_sym[tick] = symbol
-        while len(self.buf) > self.cp.buffer_len:
-            evicted, _ = self.buf.pop(0)
-            del self._ticks[0]
+        while len(self._ticks) > self.cp.buffer_len:
+            evicted = self._ticks.pop(0)
             self._text = self._text[1:]
             # noise trimming reads one tick before the oldest tick of the
             # wild snapshot, which may still start at the evicted tick
@@ -506,7 +500,7 @@ class Chunker:
     def _replay(self, start: int, end: int) -> None:
         """Re-feed the buffered symbols at ticks ``start..end-1`` to the
         matcher; a tick that passed without a symbol has nothing to re-feed."""
-        for t, sym in self.buf:
+        for t, sym in zip(self._ticks, self._text):
             if start <= t < end:
                 self._prefix_step(sym, t)
 
@@ -622,8 +616,7 @@ class Chunker:
 
     def _ensure_chunk(self, label: str) -> None:
         if not self.net.has_node(label):
-            allocate_chunk_node(self.net, list(label), label,
-                                window_coact=self.cp.window_coact)
+            allocate_chunk_node(self.net, list(label), label)
 
     def _credit_chunk(self, label: str, *, boost: bool, occurrence: bool = True) -> None:
         """One weight credit to a chunk node and its member edges."""

@@ -96,9 +96,9 @@ class Element:
     """Weight, activation and credit state shared by nodes and edges.
 
     Built only by :class:`Network`, which registers every new element as
-    live.  ``_net`` is a weak reference to that network: it lets a dormant
-    or fading element put itself back on the live list (see :func:`_wake`)
-    without keeping a dropped network alive.
+    live.  ``_net`` is a weak reference to that network: it lets an idle
+    element put itself back on the live list (see :func:`_wake`) without
+    keeping a dropped network alive.
     """
 
     __slots__ = ("weight", "activation", "fixated", "above_credits", "credited_tick", "_net")
@@ -141,34 +141,26 @@ class Edge(Element):
         return f"{self.src}->{self.dst}"
 
 
-def _wake(element: Element, name: str, value) -> None:
-    """``__setattr__`` of a dormant element.  The first write switches it
-    back to its live class, so later writes are plain slot stores, and
-    appends it to its network's live list; then the write lands."""
-    object.__setattr__(element, "__class__", element._awake)
-    net = element._net()
-    if net is not None:
-        net._live.append(element)
-    object.__setattr__(element, name, value)
-
-
-# the activation slot itself, for fading elements whose class shadows it
+# the activation slot itself, for idle elements whose class shadows it
 _activation_slot = Element.__dict__["activation"]
 
 
 def _caught_up(element: Element) -> float:
-    """Activation of a fading element after the fades it has missed.
+    """Activation of an idle element after the fades it has missed.
 
-    It went fading at a tick recorded in its network's ``_fade_start``; each
-    ``end_tick`` since then would have multiplied its activation by the fade
-    factor once.  Those multiplications are applied here one at a time, so
-    the value is bit-identical to the eager update; ``fade ** k`` would not
-    be.  They stop early once ``a * fade == a``: at +0.0 (the element is
-    then dormant) or at the subnormal fixed point, where later fades change
-    nothing.  An orphan, whose network has been dropped, has no clock and
-    reads the value it held when it was last caught up.
+    At +0.0 there is nothing to catch up, and no fade can change it.  Any
+    other idle activation went fading at a tick recorded in its network's
+    ``_fade_start``; each ``end_tick`` since then would have multiplied it
+    by the fade factor once.  Those multiplications are applied here one at
+    a time, so the value is bit-identical to the eager update; ``fade ** k``
+    would not be.  They stop early once ``a * fade == a``: at +0.0, where
+    the element leaves the registry, or at the subnormal fixed point, where
+    later fades change nothing.  An orphan, whose network has been dropped,
+    has no clock and reads the value it held when it was last caught up.
     """
     a = _activation_slot.__get__(element)
+    if a == 0.0:
+        return a
     net = element._net()
     if net is None:
         return a
@@ -184,52 +176,42 @@ def _caught_up(element: Element) -> float:
         _activation_slot.__set__(element, a)
         if a == 0.0:
             del start[element]
-            object.__setattr__(element, "__class__", element._dormant)
         else:
             start[element] = net.tick_count
     return a
 
 
-def _wake_fading(element: Element, name: str, value) -> None:
-    """``__setattr__`` of a fading element: catch up and leave the fading
-    registry, then wake as a dormant element does."""
-    _caught_up(element)
+def _wake(element: Element, name: str, value) -> None:
+    """``__setattr__`` of an idle element.  A fading one first catches up
+    and leaves the fade registry.  The first write switches the element
+    back to its live class, so later writes are plain slot stores, and
+    appends it to its network's live list; then the write lands."""
     net = element._net()
     if net is not None:
-        net._fade_start.pop(element, None)
-    _wake(element, name, value)
+        if _activation_slot.__get__(element) != 0.0:
+            _caught_up(element)
+            net._fade_start.pop(element, None)
+        net._live.append(element)
+    object.__setattr__(element, "__class__", element._awake)
+    object.__setattr__(element, name, value)
 
 
-class _DormantNode(Node):
+class _IdleNode(Node):
     __slots__ = ()
     __setattr__ = _wake
-    _awake = Node
-
-
-class _DormantEdge(Edge):
-    __slots__ = ()
-    __setattr__ = _wake
-    _awake = Edge
-
-
-class _FadingNode(Node):
-    __slots__ = ()
-    __setattr__ = _wake_fading
     activation = property(_caught_up)
     _awake = Node
 
 
-class _FadingEdge(Edge):
+class _IdleEdge(Edge):
     __slots__ = ()
-    __setattr__ = _wake_fading
+    __setattr__ = _wake
     activation = property(_caught_up)
     _awake = Edge
 
 
-Node._dormant = _DormantNode
-Edge._dormant = _DormantEdge
-Node._fading = _FadingNode
-Edge._fading = _FadingEdge
+Node._idle = _IdleNode
+Edge._idle = _IdleEdge
 _creation_order = attrgetter("_order")
 
 
@@ -252,11 +234,6 @@ def clamp_signal(value: int) -> int:
     if value < -SIGNAL_MAX:
         return -SIGNAL_MAX
     return value
-
-
-def activation_gain(signal: int, weight: float, p: Params) -> float:
-    """Activation delta for an element of the given weight receiving ``signal``."""
-    return signal * (0.2 + 0.3 * weight / p.w_max) / 3.0
 
 
 def signal_out(signal: int, weight: float, activation: float, p: Params) -> int:
@@ -305,12 +282,12 @@ class Network:
     visit: non-fixated ones holding weight, and those holding activation
     that may fire.  ``_live`` lists them, so a tick costs O(live elements),
     not O(graph).  Every element is born live; :meth:`end_tick` turns one
-    that has gone idle dormant and, in deterministic mode, one that can
-    only fade fading (see :func:`_caught_up`).  Any attribute write to a
-    dormant or fading element makes it live again, so callers may keep
-    setting ``weight``, ``activation`` or ``fixated`` by hand.  The fade
-    factor is read from ``params`` when an element catches up, so
-    ``params`` must not change while elements fade.
+    that cannot change in a way a tick has to visit idle: at +0.0 or, in
+    deterministic mode, fading below the fire threshold (see
+    :func:`_caught_up`).  Any attribute write to an idle element makes it
+    live again, so callers may keep setting ``weight``, ``activation`` or
+    ``fixated`` by hand.  The fade factor is read from ``params`` when an
+    element catches up, so ``params`` must not change while elements fade.
     """
 
     def __init__(self, params: Params | None = None, *, seed: int = 0,
@@ -447,15 +424,12 @@ class Network:
         if not -SIGNAL_MAX <= value <= SIGNAL_MAX:
             value = clamp_signal(value)
         before = element.activation
-        # activation_gain and min(a_max, max(0.0, a)), spelled out: each
+        # the gain, then min(a_max, max(0.0, a)) spelled out: each
         # conditional picks the same operand as max/min on ties, ±0.0 and NaN
         a = before + value * (0.2 + 0.3 * element.weight / p.w_max) / 3.0
         a = a if a > 0.0 else 0.0
         element.activation = a = a if a < p.a_max else p.a_max
         return a > before
-
-    def apply_signal(self, node_id: str, value: int) -> bool:
-        return self.bump_activation(self.node(node_id), value)
 
     # -- firing ------------------------------------------------------------
 
@@ -563,13 +537,12 @@ class Network:
     def end_tick(self) -> None:
         """Decay phase: uncredited non-fixated weights shrink, activations fade.
 
-        Visits live elements only.  One left with activation exactly +0.0
-        and nothing to decay goes dormant until its next attribute write.
-        In deterministic mode, one whose weight cannot decay and whose
-        activation lies in (0, ``fire_threshold``) cannot fire; all that
-        happens to it is the fade, so it goes fading and catches the fades
-        up when read.  In stochastic mode any positive activation may fire,
-        so nothing fades.
+        Visits live elements only.  One whose weight cannot decay goes idle
+        until its next attribute write when its activation is exactly +0.0
+        or, in deterministic mode, lies in (0, ``fire_threshold``): it
+        cannot fire, and all that happens to it is the fade, which it
+        catches up when read.  In stochastic mode any positive activation
+        may fire, so only +0.0 goes idle.
         """
         p = self.params
         tick = self.tick_count
@@ -588,10 +561,10 @@ class Network:
             if plastic and weight > 0.0:
                 live.append(element)
             elif 0.0 < activation < limit:
-                element.__class__ = element._fading
+                element.__class__ = element._idle
                 fade_start[element] = tick + 1
             elif activation == 0.0 and math.copysign(1.0, activation) > 0.0:
-                element.__class__ = element._dormant
+                element.__class__ = element._idle
             else:
                 # at or above the fire threshold, or negative, -0.0 or NaN,
                 # which nightly_reset still has to clear
@@ -618,9 +591,9 @@ class Network:
         events: list[Event] = []
 
         def shed(element_id: str, element: Element) -> None:
-            # a dormant or fading element here is fixated, and neither its
-            # weight nor its credit count decides its state, so these
-            # writes go past its wake hook
+            # an idle element here is fixated, and neither its weight nor
+            # its credit count decides its state, so these writes go past
+            # its wake hook
             weight = element.weight - (element.weight - theta) * factor
             object.__setattr__(element, "weight", weight)
             object.__setattr__(element, "above_credits", 0)
@@ -634,11 +607,10 @@ class Network:
             for dst, edge in adjacency.items():
                 if edge.weight > theta:
                     shed(f"{src}->{dst}", edge)
-        for element in self._live:      # dormant activations are already 0.0
+        for element in self._live:      # unregistered idle ones hold +0.0
             element.activation = 0.0
         for element in self._fade_start:
-            # cleared, a fading element holds nothing that can change
+            # cleared, a fading element stays idle at +0.0
             _activation_slot.__set__(element, 0.0)
-            object.__setattr__(element, "__class__", element._dormant)
         self._fade_start.clear()
         return events

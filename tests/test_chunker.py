@@ -195,11 +195,13 @@ def scanned_occurs_earlier(buf: list[tuple[int, str]], boundary: int,
 def test_span_lookups_match_window_scan_across_tick_gaps(steps):
     net = make_net()
     chunker = Chunker(net, ChunkerParams(buffer_len=8))
+    fed: list[tuple[int, str]] = []
     for symbol, gap in steps:
         for _ in range(gap):
             net.end_tick()            # a tick with no symbol: a hole in the buffer
+        fed.append((net.tick_count, symbol))
         chunker.observe(symbol)
-        buf = chunker.buf
+        buf = fed[-chunker.cp.buffer_len:]
         # the tick list and text kept as symbols arrive and leave
         assert chunker._ticks == [t for t, _ in buf]
         assert chunker._text == "".join(sym for _, sym in buf)

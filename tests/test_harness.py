@@ -122,6 +122,8 @@ MALFORMED = [
                  "config.seed", id="config.seed-string"),
     pytest.param("kind: segment\ncorpus: fig1b\nversion: 2\n", None,
                  "version", id="version-2"),
+    pytest.param("kind: segment\ncorpus: fig1b\nchunker: {window_coact: 3}\n", None,
+                 "chunker: unknown fields ['window_coact']", id="chunker-unknown-window_coact"),
     pytest.param("kind: segment\ncorpus: fig1b\nparams: {theta: true}\n", None,
                  "params.theta", id="params.theta-bool"),
     pytest.param("kind: segment\ncorpus: fig1b\nparams: {dw: \"0.3\"}\n", None,

@@ -23,11 +23,8 @@ from tnet.substrate import (
     NodeKind,
     Params,
     _activation_slot,
-    _DormantEdge,
-    _DormantNode,
-    _FadingEdge,
-    _FadingNode,
-    activation_gain,
+    _IdleEdge,
+    _IdleNode,
     clamp_signal,
     counter_uniform,
     signal_back,
@@ -59,10 +56,17 @@ def test_clamp_signal_bounds():
 
 
 def test_activation_gain_formula():
-    p = Params()
-    assert activation_gain(3, 0.0, p) == pytest.approx(3 * 0.2 / 3)
-    assert activation_gain(3, p.w_max, p) == pytest.approx(3 * 0.5 / 3)
-    assert activation_gain(-3, p.w_max, p) == pytest.approx(-0.5)
+    net = make_net()
+    p = net.params
+    light, heavy = net.add_node("light"), net.add_node("heavy")
+    heavy.weight = p.w_max
+    assert net.bump_activation(light, 3)
+    assert light.activation == pytest.approx(3 * 0.2 / 3)
+    assert net.bump_activation(heavy, 3)
+    assert heavy.activation == pytest.approx(3 * 0.5 / 3)
+    heavy.activation = p.a_max
+    assert not net.bump_activation(heavy, -3)
+    assert heavy.activation == pytest.approx(p.a_max - 0.5)
 
 
 def test_signal_out_floor_and_cap():
@@ -193,7 +197,7 @@ def reference_bump(net, element, value):
     """``Network.bump_activation`` as first written, through the helpers."""
     p = net.params
     before = element.activation
-    a = before + activation_gain(clamp_signal(value), element.weight, p)
+    a = before + clamp_signal(value) * (0.2 + 0.3 * element.weight / p.w_max) / 3.0
     element.activation = min(p.a_max, max(0.0, a))
     return element.activation > before
 
@@ -597,10 +601,12 @@ def peeked_state(net):
     return rows, net.tick_count, net.quiescent()
 
 
-def assert_three_states(net):
-    """Every element is live, fading or dormant, and only a live one can
-    change in a way a tick has to visit.  Reads the activation slot itself,
-    so the check brings no fading element up to date."""
+def assert_two_states(net):
+    """Every element is live or idle, and only a live one can change in a
+    way a tick has to visit.  An idle element on the fading registry holds
+    an activation in (0, ``fire_threshold``); any other holds +0.0.  Reads
+    the activation slot itself, so the check brings no fading element up
+    to date."""
     live = set(map(id, net._live))
     assert len(live) == len(net._live)
     fading = set(map(id, net._fade_start))
@@ -610,15 +616,14 @@ def assert_three_states(net):
         if id(element) in live:
             assert type(element) in (Node, Edge)
             continue
+        assert type(element) in (_IdleNode, _IdleEdge)
         assert element.fixated or element.weight <= 0.0
         if id(element) in fading:
-            assert type(element) in (_FadingNode, _FadingEdge)
             assert net.mode is FiringMode.DETERMINISTIC
             assert 0.0 < activation < net.params.fire_threshold
             assert net._fade_start[element] <= net.tick_count
         else:
-            assert type(element) in (_DormantNode, _DormantEdge)
-            assert activation == 0.0
+            assert activation == 0.0 and math.copysign(1.0, activation) > 0.0
 
 
 @given(data=st.data())
@@ -651,7 +656,7 @@ def test_active_set_matches_full_scan(data):
             got = want = None
         assert got == want
         assert peeked_state(fast) == peeked_state(slow)
-        assert_three_states(fast)
+        assert_two_states(fast)
     assert full_state(fast) == full_state(slow)
 
 
@@ -687,7 +692,7 @@ def test_fading_stops_at_the_subnormal_fixed_point():
         fast.end_tick()
         slow.end_tick()
     node = fast.node("r0")
-    assert node not in fast._live and type(node) is _FadingNode
+    assert node not in fast._live and type(node) is _IdleNode
     want = 0.4
     for _ in range(5000):
         want *= 1.0 - fast.params.decay_a
@@ -700,9 +705,9 @@ def test_fading_stops_at_the_subnormal_fixed_point():
     assert full_state(fast) == full_state(slow)
 
 
-def idle_ring(n: int, cls=Network) -> Network:
+def idle_ring(n: int, cls=Network, **overrides) -> Network:
     """A fixated ring of ``n`` nodes with no activation anywhere."""
-    net = cls(Params(), seed=0)
+    net = cls(Params(**overrides), seed=0)
     for i in range(n):
         node = net.add_node(f"r{i}")
         node.weight, node.fixated = 1.5, True
@@ -730,8 +735,39 @@ def test_idle_elements_leave_the_live_list():
     # below the fire threshold, fixated and with no plastic weight, both
     # can only fade, so they wait on the fading registry
     assert {e.id for e in net._fade_start} >= {"r3->r4", "r4"}
-    assert type(net.node("r4")) is _FadingNode
-    assert type(net.edge("r3", "r4")) is _FadingEdge
+    assert type(net.node("r4")) is _IdleNode
+    assert type(net.edge("r3", "r4")) is _IdleEdge
+
+
+def test_fading_to_zero_stays_idle_until_one_write():
+    """With a fade factor of 0.5, fading ends at +0.0.  The element then
+    leaves the fading registry and keeps its idle class, and one write puts
+    it back on the live list exactly once.  A nightly reset clears the
+    registry and leaves the elements it held idle at +0.0."""
+    fast, slow = idle_ring(3, decay_a=0.5), idle_ring(3, FullScanNetwork, decay_a=0.5)
+    for net in (fast, slow):
+        net.node("r0").activation = net.node("r1").activation = 0.4
+        net.end_tick()
+    node, other = fast.node("r0"), fast.node("r1")
+    assert fast._live == [] and set(fast._fade_start) == {node, other}
+    for _ in range(1200):
+        fast.end_tick()
+        slow.end_tick()
+    assert node.activation == 0.0 == slow.node("r0").activation   # the read catches up
+    assert math.copysign(1.0, node.activation) > 0.0
+    assert node not in fast._fade_start and type(node) is _IdleNode
+    assert other in fast._fade_start                   # unread, still behind
+    for net in (fast, slow):
+        net.node("r0").weight = 2.0
+        net.node("r0").fixated = True
+    assert fast._live == [node] and type(node) is Node
+    fast.nightly_reset()
+    slow.nightly_reset()
+    assert fast._fade_start == {} and fast._live == [node]
+    assert type(other) is _IdleNode and _activation_slot.__get__(other) == 0.0
+    assert math.copysign(1.0, other.activation) > 0.0
+    assert_two_states(fast)
+    assert full_state(fast) == full_state(slow)
 
 
 def test_fire_events_keep_node_creation_order():
@@ -769,6 +805,6 @@ def test_dropped_network_is_freed_and_orphans_accept_writes():
         assert ref() is None              # freed by refcount, no cycle
     finally:
         gc.enable()
-    node.activation = 0.5                 # the dormant hook must not raise
+    node.activation = 0.5                 # the idle hook must not raise
     edge.weight = 2.0
     assert node.activation == 0.5 and edge.weight == 2.0
