@@ -24,11 +24,11 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import TopologyError
-from .substrate import Network, Node, NodeKind
+from .substrate import Network, NodeKind
 
 # ---------------------------------------------------------------------------
 # parameters and small records
@@ -67,15 +67,6 @@ class Unit:
     text: str
     start: int
     end: int
-
-
-@dataclass
-class Candidate:
-    """A scored segmentation candidate (diagnostic view of the buffer)."""
-    pattern: str
-    occurrences: int
-    matched_weight: float
-    leftmost: int
 
 
 def _between(ticks: list[int], text: str, start: int, end: int) -> str:
@@ -194,21 +185,14 @@ def decompose_units(text_a: str, text_b: str, l_min: int) -> Decomposition | Non
     return best
 
 
-def allocate_chunk_node(net: Network, members: list[str], label: str,
-                        member_ticks: list[int] | None = None,
-                        window_coact: int = 3) -> str:
+def allocate_chunk_node(net: Network, members: list[str], label: str) -> str:
     """Locate or create the chunk node bound to an ordered member group.
 
     Idempotent: a second call with the same label returns the same node.
-    Creates in-edges from every member (with weight-0 reciprocals).  Members
-    must have been activated closely enough in time to count as one group.
+    Creates in-edges from every member (with weight-0 reciprocals).
     """
     if not members:
         raise TopologyError("chunk allocation needs at least one member")
-    if member_ticks is not None:
-        for earlier, later in zip(member_ticks, member_ticks[1:]):
-            if later - earlier > window_coact:
-                raise TopologyError("members not co-activated within window")
     if net.has_node(label):
         return label
     net.add_node(label, NodeKind.CHUNK)
@@ -216,39 +200,6 @@ def allocate_chunk_node(net: Network, members: list[str], label: str,
         if member != label:
             net.ensure_edge(member, label)
     return label
-
-
-def find_candidates(buffer_text: str, net: Network, l_min: int = 2) -> list[Candidate]:
-    """Scored view of the buffer: repeated spans and trace-matching spans.
-
-    Candidates are substrings of length >= l_min that either occur at least
-    twice (non-overlapping) in the buffer or carry positive weight as an
-    existing chunk.  Ordering: matched weight desc, occurrences desc, length
-    desc, leftmost first.
-    """
-    seen: dict[str, Candidate] = {}
-    n = len(buffer_text)
-    for length in range(l_min, n + 1):
-        for start in range(0, n - length + 1):
-            pattern = buffer_text[start:start + length]
-            if pattern in seen:
-                continue
-            occurrences = 0
-            pos = buffer_text.find(pattern)
-            first = pos
-            while pos != -1:
-                occurrences += 1
-                pos = buffer_text.find(pattern, pos + length)
-            weight = 0.0
-            if net.has_node(pattern):
-                node = net.node(pattern)
-                if node.kind is NodeKind.CHUNK:
-                    weight = node.weight
-            if occurrences >= 2 or weight > 0.0:
-                seen[pattern] = Candidate(pattern, occurrences, weight, first)
-    return sorted(seen.values(),
-                  key=lambda c: (-c.matched_weight, -c.occurrences,
-                                 -len(c.pattern), c.leftmost, c.pattern))
 
 
 def match(net: Network, fragment: str, prime: float = 0.5) -> list[tuple[str, float]]:
@@ -472,29 +423,22 @@ class Chunker:
         run = self.prefix
         assert run is not None
         self.prefix = None
+        matched, l_min = run.text, self.cp.l_min
         if run.last_completed is not None:
             done = run.last_completed
             self._commit(done)
-            # re-feed what the abandoned extension consumed, then the
-            # diverging symbol itself
+            # re-feed what the abandoned extension consumed
             self._replay(done.end + 1, tick)
-            self._prefix_step(symbol, tick)
-            return
-        matched = run.text
-        if len(matched) >= self.cp.l_min:
-            split_candidates = [
+        elif len(matched) >= l_min and (traces := [
                 l for l in labels
-                if l.startswith(matched) and len(l) - len(matched) >= self.cp.l_min
-                and not self.net.node(l).fixated
-            ]
-            if split_candidates:
-                trace = max(split_candidates, key=lambda l: (self.net.node(l).weight, l))
-                self._split_trace(trace, matched, run.start, tick - 1)
-                self._prefix_step(symbol, tick)
-                return
-        # nothing to salvage: retry the match from inside the failed span
-        if len(matched) > 1:
+                if l.startswith(matched) and len(l) - len(matched) >= l_min
+                and not self.net.node(l).fixated]):
+            trace = max(traces, key=lambda l: (self.net.node(l).weight, l))
+            self._split_trace(trace, matched, run.start, tick - 1)
+        elif len(matched) > 1:
+            # nothing to salvage: retry the match from inside the failed span
             self._replay(run.start + 1, tick)
+        # then the diverging symbol itself
         self._prefix_step(symbol, tick)
 
     def _replay(self, start: int, end: int) -> None:
@@ -516,10 +460,7 @@ class Chunker:
         trace_node = net.node(trace)
         inherited = trace_node.weight
         for block in (matched, remainder):
-            self._ensure_chunk(block)
-            node = net.node(block)
-            if not node.fixated:
-                net.transfer_weight(node, node.weight + inherited)
+            self._inherit(self._ensure_chunk(block), inherited)
             self._credit_chunk(block, boost=True, occurrence=False)
         edge = net.ensure_edge(matched, remainder)
         net.update_weight(edge, boost=True)
@@ -614,15 +555,21 @@ class Chunker:
 
     # -- internals: committing ---------------------------------------------
 
-    def _ensure_chunk(self, label: str) -> None:
+    def _ensure_chunk(self, label: str):
+        """The chunk node labelled ``label``, allocated on first use."""
         if not self.net.has_node(label):
             allocate_chunk_node(self.net, list(label), label)
+        return self.net.node(label)
+
+    def _inherit(self, element, weight: float) -> None:
+        """Add ``weight`` to a plastic element; a fixated one keeps its own."""
+        if not element.fixated:
+            self.net.transfer_weight(element, element.weight + weight)
 
     def _credit_chunk(self, label: str, *, boost: bool, occurrence: bool = True) -> None:
         """One weight credit to a chunk node and its member edges."""
         net = self.net
-        self._ensure_chunk(label)
-        node = net.node(label)
+        node = self._ensure_chunk(label)
         net.update_weight(node, boost=boost)
         net.bump_activation(node, 3)
         for member in dict.fromkeys(label):
@@ -637,8 +584,7 @@ class Chunker:
         if occurrence.start <= self.boundary:
             return
         net = self.net
-        self._ensure_chunk(occurrence.label)
-        node = net.node(occurrence.label)
+        node = self._ensure_chunk(occurrence.label)
         boost = (node.weight < net.params.theta
                  and self._preceded_by_fixated_entry(self.chain, occurrence.start))
         # the gap this commit closes off becomes a pending unit
@@ -649,11 +595,16 @@ class Chunker:
         self.boundary = occurrence.end
 
     def _record_gap_unit(self, start: int, end: int) -> None:
-        ticks = self._trim_noise(start, end, self._ticks)
-        if ticks and ticks[-1] - ticks[0] + 1 >= self.cp.l_min:
-            text = _between(self._ticks, self._text, ticks[0], ticks[-1])
-            if len(text) == ticks[-1] - ticks[0] + 1:
-                self.pending_units.append(Unit(text, ticks[0], ticks[-1]))
+        unit = self._unit(self._trim_noise(start, end, self._ticks), self._ticks, self._text)
+        if unit is not None:
+            self.pending_units.append(unit)
+
+    def _unit(self, span: list[int], ticks: list[int], text: str) -> Unit | None:
+        """The unit over ``span``, a run of consecutive ticks of the window
+        given as ``ticks`` and ``text``, if it is at least l_min long."""
+        if span and span[-1] - span[0] + 1 >= self.cp.l_min:
+            return Unit(_between(ticks, text, span[0], span[-1]), span[0], span[-1])
+        return None
 
     def _wild_at(self, tick: int) -> bool:
         """A tick is wild while its symbol has been seen at most once so far."""
@@ -695,18 +646,12 @@ class Chunker:
         """Move a rewritten trace's chunk-to-chunk edges onto its blocks."""
         net = self.net
         for src, edge in list(net.in_edges(trace, positive=True).items()):
-            node = net.nodes[src]
-            if node.kind is NodeKind.CHUNK and src not in (first, last):
-                target = net.ensure_edge(src, first)
-                if not target.fixated:
-                    net.transfer_weight(target, target.weight + edge.weight)
+            if net.nodes[src].kind is NodeKind.CHUNK and src not in (first, last):
+                self._inherit(net.ensure_edge(src, first), edge.weight)
                 net.transfer_weight(edge, 0.0)
         for dst, edge in list(net.out_edges(trace, positive=True).items()):
-            node = net.nodes[dst]
-            if node.kind is NodeKind.CHUNK and dst not in (first, last):
-                target = net.ensure_edge(last, dst)
-                if not target.fixated:
-                    net.transfer_weight(target, target.weight + edge.weight)
+            if net.nodes[dst].kind is NodeKind.CHUNK and dst not in (first, last):
+                self._inherit(net.ensure_edge(last, dst), edge.weight)
                 net.transfer_weight(edge, 0.0)
 
     def _rewrite_trace(self, trace: str, tiling: tuple[str, ...]) -> None:
@@ -715,10 +660,7 @@ class Chunker:
         trace_node = net.node(trace)
         inherited = trace_node.weight
         for block in tiling:
-            self._ensure_chunk(block)
-            node = net.node(block)
-            if not node.fixated:
-                net.transfer_weight(node, node.weight + inherited)
+            self._inherit(self._ensure_chunk(block), inherited)
             self._credit_chunk(block, boost=True, occurrence=False)
         for left, right in zip(tiling, tiling[1:]):
             if left != right:
@@ -734,13 +676,10 @@ class Chunker:
         net = self.net
         if self.pending is not None:
             self._commit_pending(ticks, buffered)
-        tail = self._tail_span(ticks)
-        units = list(self.pending_units)
-        self.pending_units = []
-        if tail and tail[-1] - tail[0] + 1 >= self.cp.l_min:
-            text = _between(ticks, buffered, tail[0], tail[-1])
-            if len(text) == tail[-1] - tail[0] + 1:
-                units.append(Unit(text, tail[0], tail[-1]))
+        units, self.pending_units = self.pending_units, []
+        tail = self._unit(self._tail_span(ticks), ticks, buffered)
+        if tail is not None:
+            units.append(tail)
 
         groups: dict[str, list[Unit]] = {}
         for unit in units:
@@ -759,30 +698,25 @@ class Chunker:
                 break
             traces = [trace for trace in sorted(self._positive_labels())
                       if not net.node(trace).fixated and trace not in groups]
+            # a trace pairing must split the unit, a unit pairing either
+            # unit; every key differs, so visiting order cannot matter
+            pairings = [(1, text, trace) for text in undecided for trace in traces]
+            pairings += [(0, a, b) for a, b in combinations(undecided, 2)]
             best: tuple | None = None
-            for text in undecided:
-                for trace in traces:
-                    dec = decompose_units(text, trace, self.cp.l_min)
-                    if dec is None or len(dec.blocks_a) == 1:
-                        continue
-                    key = (dec.shared_length, len(dec.shared), 1, text, trace)
-                    if best is None or key > best[0]:
-                        best = (key, "trace", text, trace, dec)
-            for text_a, text_b in combinations(undecided, 2):
+            for is_trace, text_a, text_b in pairings:
                 dec = decompose_units(text_a, text_b, self.cp.l_min)
-                if dec is None or (len(dec.blocks_a) == 1 and len(dec.blocks_b) == 1):
+                if dec is None or len(dec.blocks_a) == 1 and (is_trace or len(dec.blocks_b) == 1):
                     continue
-                key = (dec.shared_length, len(dec.shared), 0, text_a, text_b)
+                key = (dec.shared_length, len(dec.shared), is_trace, text_a, text_b)
                 if best is None or key > best[0]:
-                    best = (key, "pair", text_a, text_b, dec)
+                    best = (key, dec)
             if best is None:
                 break
-            _, kind, text_a, text_b, dec = best
-            if kind == "trace":
-                tilings[text_a] = dec.blocks_a
+            (_, _, is_trace, text_a, text_b), dec = best
+            tilings[text_a] = dec.blocks_a
+            if is_trace:
                 self._rewrite_trace(text_b, dec.blocks_b)
             else:
-                tilings[text_a] = dec.blocks_a
                 tilings[text_b] = dec.blocks_b
 
         for text in sorted(groups):

@@ -59,15 +59,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config)
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.deterministic is not None:
-        cfg = replace(cfg, deterministic=args.deterministic)
-    if args.out is not None:
-        cfg = replace(cfg, out=args.out)
-    if args.log is not None:
-        cfg = replace(cfg, log=args.log)
+    overrides = {name: getattr(args, name) for name in ("seed", "deterministic", "out", "log")
+                 if getattr(args, name) is not None}
+    cfg = replace(load_config(args.config), **overrides)
     snapshot, log_lines = run_experiment(cfg)
     write_outputs(cfg, snapshot, log_lines)
     if not cfg.out:
@@ -80,13 +74,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_segment(args: argparse.Namespace) -> int:
-    overrides = {}
-    if args.dw is not None:
-        overrides["dw"] = args.dw
-    if args.decay is not None:
-        overrides["decay_w"] = args.decay
-    if args.theta is not None:
-        overrides["theta"] = args.theta
+    flags = {"dw": args.dw, "decay_w": args.decay, "theta": args.theta}
+    overrides = {name: value for name, value in flags.items() if value is not None}
     cfg = ExperimentConfig(kind="segment", corpus=args.corpus, params=overrides)
     snapshot, _ = run_experiment(cfg)
     labels = sorted(n["id"] for n in snapshot["nodes"]

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
 
 from .chunker import Chunker, ChunkerParams
-from .errors import ConfigError, TnetError
+from .errors import ConfigError
 from .learning import InnateSpec, hebbian_episode, inject_innate
 from .planner import POLICIES, PathQuery, PlannerParams, decide, plan
 from .predictor import build_motif, trial
@@ -104,6 +104,13 @@ class PredictSection:
     trials: int = 20
     probability: float | None = None
 
+    def __post_init__(self) -> None:
+        if self.trials < 0:
+            raise ConfigError(f"predict.trials: must be >= 0, got {self.trials}")
+        if self.probability is not None and not 0.0 <= self.probability <= 1.0:
+            raise ConfigError(
+                f"predict.probability: must lie in [0, 1], got {self.probability}")
+
 
 @dataclass
 class PlanSection:
@@ -132,6 +139,8 @@ class HebbianSection:
     def __post_init__(self) -> None:
         if self.reps < 1:
             raise ConfigError(f"hebbian.reps: must be >= 1, got {self.reps}")
+        if self.gap_ticks < 0:
+            raise ConfigError(f"hebbian.gap_ticks: must be >= 0, got {self.gap_ticks}")
 
 
 @dataclass

@@ -41,14 +41,13 @@ class PlannerParams:
     back_uses_forward_weight: bool = False
 
     def __post_init__(self) -> None:
-        if self.t_act <= 0 or self.t_rel <= 0:
-            raise ValueError("thresholds must be positive")
+        for name in ("t_act", "t_rel", "goal_value"):
+            if not getattr(self, name) > 0:     # NaN fails too
+                raise ValueError(f"{name} must be positive")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
         if self.source_strength not in (1, 2, 3):
             raise ValueError("source_strength must be 1, 2, or 3")
-        if self.goal_value <= 0:
-            raise ValueError("goal_value must be positive")
 
 
 @dataclass(frozen=True)
@@ -65,9 +64,9 @@ class Decision:
 
 
 def _check_query(net: Network, q: PathQuery) -> None:
+    """Raise TopologyError for a node the query names but the net lacks."""
     for node_id in (q.source, q.goal, *q.context):
-        if not net.has_node(node_id):
-            raise TopologyError(f"no node {node_id!r}")
+        net.node(node_id)
 
 
 def _reachable(net: Network, source: str, goal: str) -> bool:
@@ -354,8 +353,7 @@ def generalize(net: Network, overlap_min: int) -> list[tuple[str, str]]:
 def causal_strength(net: Network, action: str, variant: str, outcome: str) -> float:
     """Normalized weight advantage of action over its variant onto outcome."""
     for node_id in (action, variant, outcome):
-        if not net.has_node(node_id):
-            raise TopologyError(f"no node {node_id!r}")
+        net.node(node_id)   # raises TopologyError for a missing node
     w_max = net.params.w_max
 
     def w(src: str) -> float:

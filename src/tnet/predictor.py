@@ -64,10 +64,7 @@ def build_motif(net: Network, cue: str, outcome_pos: str) -> PredictionMotif:
     Idempotent.  The reciprocal edges created alongside the listed six give
     pred_pos its required in-edge from the positive outcome.
     """
-    if not net.has_node(cue):
-        raise TopologyError(f"no node {cue!r}")
-    if not net.has_node(outcome_pos):
-        raise TopologyError(f"no node {outcome_pos!r}")
+    net.node(cue), net.node(outcome_pos)    # each raises TopologyError when missing
     if cue == outcome_pos:
         raise TopologyError("cue and outcome must be distinct nodes")
     motif = PredictionMotif(

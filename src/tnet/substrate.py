@@ -71,7 +71,7 @@ class Params:
         if not (0.0 < self.fire_threshold <= self.a_max):
             raise ValueError("fire_threshold must lie in (0, a_max]")
         for name in ("dw", "boost", "decay_w", "w_max", "a_max"):
-            if getattr(self, name) <= 0.0:
+            if not getattr(self, name) > 0.0:     # NaN fails too
                 raise ValueError(f"{name} must be strictly positive")
 
 

@@ -145,6 +145,25 @@ MALFORMED = [
     pytest.param("kind: custom\ninnate:\n  nodes: [{id: a, weight: 2.0}, {id: b, weight: 2.0}]\n"
                  "  rewards: [[a, b, x]]\n", None,
                  "innate.rewards[0]", id="innate.rewards-three"),
+    # range checks that NaN must fail as well
+    pytest.param("kind: segment\ncorpus: fig1a\nparams: {dw: .nan}\n", None,
+                 "params: dw must be", id="params.dw-nan"),
+    pytest.param("kind: segment\ncorpus: fig1a\nparams: {boost: .nan}\n", None,
+                 "params: boost must be", id="params.boost-nan"),
+    pytest.param("kind: segment\ncorpus: fig1a\nparams: {decay_w: .nan}\n", None,
+                 "params: decay_w must be", id="params.decay_w-nan"),
+    pytest.param("kind: plan\nplanner: {t_act: .nan}\nplan: {source: S, goal: G}\n", None,
+                 "planner: t_act must be", id="planner.t_act-nan"),
+    pytest.param("kind: plan\nplanner: {t_rel: .nan}\nplan: {source: S, goal: G}\n", None,
+                 "planner: t_rel must be", id="planner.t_rel-nan"),
+    pytest.param("kind: plan\nplanner: {goal_value: .nan}\nplan: {source: S, goal: G}\n", None,
+                 "planner: goal_value must be", id="planner.goal_value-nan"),
+    pytest.param("kind: predict\npredict: {probability: 1.5}\n", None,
+                 "predict.probability: must lie in [0, 1]", id="predict.probability-1.5"),
+    pytest.param("kind: predict\npredict: {trials: -4}\n", None,
+                 "predict.trials: must be >= 0", id="predict.trials-negative"),
+    pytest.param("kind: hebbian\nhebbian: {a: x, b: y, gap_ticks: -2}\n", None,
+                 "hebbian.gap_ticks: must be >= 0", id="hebbian.gap_ticks-negative"),
 ]
 
 
@@ -187,6 +206,11 @@ innate:
     - {src: X, dst: G, weight: 3.0}
     - {src: Y, dst: G, weight: 3.0}
 """
+
+
+def test_cli_segment_rejects_a_nan_flag(capsys):
+    assert main(["segment", "--corpus", "fig1a", "--decay", "nan"]) == 1
+    assert "params: decay_w must be" in capsys.readouterr().err
 
 
 def test_cli_no_deterministic_overrides_config(tmp_path, capsys):
