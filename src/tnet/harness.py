@@ -353,9 +353,7 @@ def net_from_snapshot(snap: dict) -> Network:
         node.activation = rec["activation"]
         node.fixated = rec["fixated"]
     for rec in snap["edges"]:
-        if not net.has_edge(rec["src"], rec["dst"]):
-            net.ensure_edge(rec["src"], rec["dst"])
-        edge = net.edge(rec["src"], rec["dst"])
+        edge = net.ensure_edge(rec["src"], rec["dst"])
         edge.weight = rec["weight"]
         edge.activation = rec["activation"]
         edge.fixated = rec["fixated"]

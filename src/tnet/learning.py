@@ -38,7 +38,6 @@ class Episode:
     """An ordered trace of node activations within one working-memory span."""
 
     nodes: list[str]
-    salience: float = 0.0   # max co-activation with any reward node in the span
 
     def __post_init__(self) -> None:
         if not self.nodes:

@@ -86,9 +86,13 @@ def _reachable(net: Network, source: str, goal: str) -> bool:
 _Hop = tuple[str, float, float]     # (other node, hop factor, node factor)
 
 
-def _relay(net: Network, start: str, *, backward: bool, use_forward_weight: bool,
+def _relay(net: Network, start: str, *, inward: bool,
            absorb: frozenset[str]) -> tuple[dict[str, list[_Hop]], list[str] | None]:
     """Walk the subgraph that can relay one seed's flow.
+
+    Both directions walk ``out``, as every edge has its reciprocal.  A hop
+    from ``node`` to ``other`` is weighted by ``out[node][other]`` or, when
+    ``inward``, by the edge into ``node``, ``out[other][node]``.
 
     Returns each expanded node's hops that pass a positive share (both
     factors > 0), in neighbour order, and a topological order of the
@@ -99,21 +103,13 @@ def _relay(net: Network, start: str, *, backward: bool, use_forward_weight: bool
     w_max = net.params.w_max
     nodes = net.nodes
     out = net.out
-    adjacency = net.inc if backward else out
-    reciprocal = backward and not use_forward_weight
 
     def hops_of(node_id: str) -> list[_Hop]:
         found = []
-        for other, edge in adjacency[node_id].items():
+        for other, edge in out[node_id].items():
             if other == start:
                 continue
-            if reciprocal:
-                # the reciprocal edge carries the returning signal
-                hop = out[node_id].get(other)
-                hop_w = hop.weight if hop is not None else 0.0
-            else:
-                hop_w = edge.weight
-            a = hop_w / w_max
+            a = (out[other][node_id] if inward else edge).weight / w_max
             b = nodes[other].weight / w_max
             if a > 0.0 and b > 0.0:
                 found.append((other, a, b))
@@ -156,8 +152,8 @@ def _spread(net: Network, acts: dict[str, float], start: str, amount: float,
     """
     a_max = net.params.a_max
     acts[start] = min(a_max, acts.get(start, 0.0) + amount)
-    hops, order = _relay(net, start, backward=backward,
-                         use_forward_weight=use_forward_weight, absorb=absorb)
+    hops, order = _relay(net, start, inward=backward and use_forward_weight,
+                         absorb=absorb)
     if order is not None:
         flow = {start: amount}
         for node_id in order:

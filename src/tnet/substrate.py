@@ -71,8 +71,9 @@ class Params:
         if not (0.0 < self.fire_threshold <= self.a_max):
             raise ValueError("fire_threshold must lie in (0, a_max]")
         for name in ("dw", "boost", "decay_w", "w_max", "a_max"):
-            if not getattr(self, name) > 0.0:     # NaN fails too
-                raise ValueError(f"{name} must be strictly positive")
+            value = getattr(self, name)
+            if not (value > 0.0 and math.isfinite(value)):     # NaN fails too
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 class NodeKind(Enum):
@@ -118,13 +119,12 @@ class Element:
 
 
 class Node(Element):
-    __slots__ = ("id", "kind", "last_fired", "_order")
+    __slots__ = ("id", "kind", "_order")
 
     def __init__(self, net: Network, node_id: str, kind: NodeKind) -> None:
         Element.__init__(self, net)
         self.id = node_id
         self.kind = kind
-        self.last_fired = -10**9
         self._order = len(net.nodes)    # creation index: fire order within a tick
 
 
@@ -272,11 +272,12 @@ def counter_uniform(seed: int, element: str, tick: int) -> float:
 class Network:
     """Sparse directed graph of weighted nodes and edges.
 
-    Adjacency is dict-of-dict (``out[src][dst]``) with a mirrored reverse
-    index; both point at the same :class:`Edge` objects.  Creating a directed
-    edge always creates its reciprocal at weight 0, so traversal code can
-    assume reverse reachability and filter by positive weight when it wants
-    only strengthened links.
+    Adjacency is one dict-of-dict, ``out[src][dst]``.  Creating a directed
+    edge always creates its reciprocal at weight 0, so every edge has one:
+    ``dst in out[src]`` exactly when ``src in out[dst]``.  The in-edges of
+    ``x`` are therefore ``out[y][x]`` for ``y`` in ``out[x]``, in that order,
+    and traversal code can assume reverse reachability and filter by
+    positive weight when it wants only strengthened links.
 
     Only *live* elements can change on their own in a way a tick has to
     visit: non-fixated ones holding weight, and those holding activation
@@ -300,7 +301,6 @@ class Network:
         # chunk nodes in creation order; a node's kind is fixed at creation
         self.chunk_nodes: list[Node] = []
         self.out: dict[str, dict[str, Edge]] = {}
-        self.inc: dict[str, dict[str, Edge]] = {}
         # relays in flight: (edge, strength, against_arrival)
         self._relays: list[tuple[Edge, int, bool]] = []
         # live elements, in no fixed order; a list costs less memory than a set
@@ -319,7 +319,6 @@ class Network:
         if kind is NodeKind.CHUNK:
             self.chunk_nodes.append(node)
         self.out[node_id] = {}
-        self.inc[node_id] = {}
         return node
 
     def ensure_node(self, node_id: str, kind: NodeKind = NodeKind.PLAIN) -> Node:
@@ -343,13 +342,9 @@ class Network:
             raise TopologyError(f"self-edge rejected: {src!r}")
         edge = self.out[src].get(dst)
         if edge is None:
-            edge = Edge(self, src, dst)
-            self.out[src][dst] = edge
-            self.inc[dst][src] = edge
-            if src not in self.out[dst]:
-                back = Edge(self, dst, src)
-                self.out[dst][src] = back
-                self.inc[src][dst] = back
+            # under the reciprocal invariant dst->src is missing too
+            edge = self.out[src][dst] = Edge(self, src, dst)
+            self.out[dst][src] = Edge(self, dst, src)
         return edge
 
     def edge(self, src: str, dst: str) -> Edge:
@@ -370,12 +365,13 @@ class Network:
         return dict(edges)
 
     def in_edges(self, dst: str, *, positive: bool = False) -> dict[str, Edge]:
-        edges = self.inc.get(dst)
-        if edges is None:
+        out = self.out
+        sources = out.get(dst)
+        if sources is None:
             raise TopologyError(f"no node {dst!r}")
         if positive:
-            return {src: e for src, e in edges.items() if e.weight > 0.0}
-        return dict(edges)
+            return {src: e for src in sources if (e := out[src][dst]).weight > 0.0}
+        return {src: out[src][dst] for src in sources}
 
     def edges(self) -> Iterator[Edge]:
         for adjacency in self.out.values():
@@ -522,7 +518,6 @@ class Network:
             came_from = arrived_from.get(node.id, ())
             for dst, edge in self.out[node.id].items():
                 relays.append((edge, emitted, dst in came_from))
-            node.last_fired = tick
 
         for element in rose:
             if type(element) is Node:

@@ -145,18 +145,36 @@ def compose(first: Transducer, second: Transducer) -> Transducer:
             f"intermediate alphabets differ: {first.out_alphabet!r} vs {second.in_alphabet!r}")
 
     # Index second's rows once: each (t2, z) is a column, numbered in order
-    # of first appearance, and a row is a list of (column, p2).
+    # of first appearance, and a row is a list of (column, p2).  A table may
+    # have been edited since it was validated, so every key indexed here is
+    # checked against the declared sets, once.
     columns: dict[tuple[State, Symbol], int] = {}
     rows2: dict[State, dict[Symbol, list[tuple[int, float]]]] = {s2: {} for s2 in second.states}
-    for (s2, y), row2 in second.table.items():
+    ins2 = set(second.in_alphabet)
+    for key, row2 in second.table.items():
+        s2, y = key
+        if s2 not in rows2 or y not in ins2:
+            raise StochasticityError(f"second: row key {key!r} outside declared sets")
         rows2[s2][y] = [(columns.setdefault(o, len(columns)), p2) for o, p2 in row2.items()]
+    outs2 = set(second.out_alphabet)
+    for t2, z in columns:
+        if t2 not in rows2 or z not in outs2:
+            raise StochasticityError(f"second: entry {(t2, z)!r} outside declared sets")
     # Composite key ((t1, t2), z) sits at block(t1) + column.
     block = {t1: i * len(columns) for i, t1 in enumerate(first.states)}
     keys = [((t1, t2), z) for t1 in first.states for t2, z in columns]
 
+    ins1 = set(first.in_alphabet)
     table: dict[tuple[State, Symbol], dict[tuple[State, Symbol], float]] = {}
     for (s1, x), row1 in first.table.items():
-        entries = [(block[t1], y, p1) for (t1, y), p1 in row1.items()]
+        if s1 not in block or x not in ins1:
+            raise StochasticityError(f"first: row key {(s1, x)!r} outside declared sets")
+        try:
+            entries = [(block[t1], y, p1) for (t1, y), p1 in row1.items()]
+        except KeyError as exc:
+            raise StochasticityError(
+                f"first: next state {exc.args[0]!r} in row {(s1, x)!r} "
+                f"outside declared sets") from None
         for s2 in second.states:
             by_symbol = rows2[s2]
             acc: list[float | None] = [None] * len(keys)
@@ -176,8 +194,9 @@ def compose(first: Transducer, second: Transducer) -> Transducer:
                         acc[i] = a + p1 * p2
             table[((s1, s2), x)] = {keys[i]: acc[i] for i in order}
 
-    # Keys come from the declared sets and entries are products of validated
-    # probabilities, so of the checks in ``validate`` only the row sums remain.
+    # Keys are declared, as checked above, and entries are products of the
+    # probabilities validated at construction, so of the checks in
+    # ``validate`` only the row sums remain.
     for key, row in table.items():
         _check_row_sum(key, sum(row.values()))
     composite = object.__new__(Transducer)  # skips the full validate

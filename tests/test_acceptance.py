@@ -1,6 +1,7 @@
 """Acceptance suite: ten end-to-end checks, one test (one pass/fail line) each.
 
-Each test states its tolerance inline and enforces its own runtime budget.
+Each test states its tolerance inline and enforces its own runtime budget,
+which interrupts a check that runs past it; a last test checks that guard.
 The segmentation goldens (tests 1-3) pin exact chunk sets and exact edge
 equalities; the rest are oracle comparisons and behavioral laws.
 """
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import signal
 import time
 from collections import Counter
 
@@ -43,16 +45,29 @@ from tnet.transducer import Transducer, compose
 
 
 class Budget:
-    """Wall-clock guard for a criterion."""
+    """Wall-clock guard for a criterion.
+
+    An in-process interval timer (``SIGALRM``) interrupts a block that runs
+    past the limit, so a hang fails its test instead of hanging the suite;
+    no thread or process is started.  The previous handler is restored on
+    exit.
+    """
 
     def __init__(self, seconds: float) -> None:
         self.limit = seconds
 
+    def _expire(self, signum, frame) -> None:
+        raise AssertionError(f"interrupted at the {self.limit}s budget")
+
     def __enter__(self) -> "Budget":
+        self.previous = signal.signal(signal.SIGALRM, self._expire)
+        signal.setitimer(signal.ITIMER_REAL, self.limit)
         self.start = time.perf_counter()
         return self
 
     def __exit__(self, *exc) -> None:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, self.previous)
         if exc[0] is None:
             elapsed = time.perf_counter() - self.start
             assert elapsed < self.limit, f"runtime {elapsed:.2f}s over {self.limit}s budget"
@@ -503,3 +518,23 @@ def test_10_priming_flips_match_and_latency_tracks_value_gap():
             rounds.append(d.rounds_used)
         assert all(later >= earlier for earlier, later in zip(rounds, rounds[1:]))
         assert rounds[-1] > rounds[0]
+
+
+# ---------------------------------------------------------------------------
+# the runtime guard the checks share
+# ---------------------------------------------------------------------------
+
+def test_budget_interrupts_a_block_that_runs_past_it():
+    before = signal.getsignal(signal.SIGALRM)
+    start = time.perf_counter()
+    try:
+        with Budget(0.2):
+            while time.perf_counter() - start < 5.0:   # a hang, cut off at 5 s
+                pass
+    except AssertionError as exc:
+        assert "interrupted" in str(exc)
+    else:
+        raise AssertionError("the block ran to its end")
+    assert time.perf_counter() - start < 1.0
+    assert signal.getsignal(signal.SIGALRM) is before
+    assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)

@@ -152,6 +152,13 @@ MALFORMED = [
                  "params: boost must be", id="params.boost-nan"),
     pytest.param("kind: segment\ncorpus: fig1a\nparams: {decay_w: .nan}\n", None,
                  "params: decay_w must be", id="params.decay_w-nan"),
+    # an infinite ceiling or decay would write Infinity, which is not JSON
+    pytest.param("kind: segment\ncorpus: fig1a\nparams: {w_max: .inf}\n", None,
+                 "params: w_max must be", id="params.w_max-inf"),
+    pytest.param("kind: segment\ncorpus: fig1a\nparams: {a_max: .inf}\n", None,
+                 "params: a_max must be", id="params.a_max-inf"),
+    pytest.param("kind: segment\ncorpus: fig1a\nparams: {decay_w: .inf}\n", None,
+                 "params: decay_w must be", id="params.decay_w-inf"),
     pytest.param("kind: plan\nplanner: {t_act: .nan}\nplan: {source: S, goal: G}\n", None,
                  "planner: t_act must be", id="planner.t_act-nan"),
     pytest.param("kind: plan\nplanner: {t_rel: .nan}\nplan: {source: S, goal: G}\n", None,

@@ -294,13 +294,13 @@ def enumerating_spread(net, acts, start, amount, *, backward, use_forward_weight
     w_max = p.w_max
 
     def visit(node_id, contribution, seen):
-        neighbours = net.inc[node_id] if backward else net.out[node_id]
-        for other, edge in neighbours.items():
+        # every edge has its reciprocal, so out[node_id] lists the
+        # in-neighbours too, and out[other][node_id] is the edge into node_id
+        for other, edge in net.out[node_id].items():
             if other in seen:
                 continue
-            if backward and not use_forward_weight:
-                hop = net.out[node_id].get(other)
-                hop_w = hop.weight if hop is not None else 0.0
+            if backward and use_forward_weight:
+                hop_w = net.out[other][node_id].weight
             else:
                 hop_w = edge.weight
             passed = (contribution * (hop_w / w_max)
@@ -431,13 +431,11 @@ def test_relay_routes_by_cycles_beyond_the_start():
         net.add_node(nid).weight = 1.0
     for s, d in ("SA", "AB", "BG", "BS"):
         net.ensure_edge(s, d).weight = 1.0
-    hops, order = planner._relay(net, "S", backward=False, use_forward_weight=True,
-                                 absorb=frozenset("G"))
+    hops, order = planner._relay(net, "S", inward=False, absorb=frozenset("G"))
     assert order == ["S", "A", "B"]
     assert [other for other, _, _ in hops["B"]] == ["G"]
     net.edge("B", "A").weight = 1.0
-    _, order = planner._relay(net, "S", backward=False, use_forward_weight=True,
-                              absorb=frozenset("G"))
+    _, order = planner._relay(net, "S", inward=False, absorb=frozenset("G"))
     assert order is None
 
 

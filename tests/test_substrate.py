@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
 import random
 import weakref
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tnet.errors import FixationError, TopologyError
-from tnet.harness import snapshot_from_net, snapshot_json
+from tnet.harness import net_from_snapshot, snapshot_from_net, snapshot_json
 from tnet.substrate import (
     SIGNAL_MAX,
     Edge,
@@ -124,6 +125,43 @@ def test_self_edge_rejected():
     net.add_node("a")
     with pytest.raises(TopologyError):
         net.ensure_edge("a", "a")
+
+
+def assert_one_adjacency(net):
+    """Every edge has its reciprocal, and ``in_edges(x)`` holds what a scan
+    of ``edges()`` finds for ``dst == x``, keyed in ``out_edges(x)`` order."""
+    for edge in net.edges():
+        assert net.has_edge(edge.dst, edge.src)
+    for x in net.nodes:
+        scanned = {e.src: e for e in net.edges() if e.dst == x}
+        for positive in (False, True):
+            got = net.in_edges(x, positive=positive)
+            want = {src: e for src, e in scanned.items() if not positive or e.weight > 0.0}
+            assert got == want      # edges compare by identity
+            assert list(got) == [y for y in net.out_edges(x) if y in want]
+
+
+@given(n=st.integers(2, 6),
+       writes=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5),
+                                 st.sampled_from([0.0, 0.4, 1.0, 3.0])), max_size=30))
+@settings(max_examples=60, deadline=None)
+def test_in_edges_follow_the_one_adjacency_map(n, writes):
+    net = make_net()
+    for i in range(n):
+        net.add_node(f"n{i}")
+    for i, j, weight in writes:
+        if i < n and j < n and i != j:
+            net.ensure_edge(f"n{i}", f"n{j}").weight = weight
+    assert_one_adjacency(net)
+    text = snapshot_json(snapshot_from_net(net, net.seed))
+    restored = net_from_snapshot(json.loads(text))
+    assert_one_adjacency(restored)
+    assert snapshot_json(snapshot_from_net(restored, restored.seed)) == text
+
+
+def test_in_edges_of_unknown_node_rejected():
+    with pytest.raises(TopologyError):
+        make_net().in_edges("ghost")
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +515,6 @@ class FullScanNetwork(Network):
             came_from = arrived_from.get(node.id, ())
             for dst, edge in self.out[node.id].items():
                 self._relays.append((edge, emitted, dst in came_from))
-            node.last_fired = tick
         for element in rose:
             boost = isinstance(element, Edge) and self.nodes[element.dst].fixated
             new_w = self.update_weight(element, boost=boost)
@@ -575,7 +612,7 @@ def element_of(net, key):
 
 
 def full_state(net):
-    rows = [(n.id, n.above_credits, n.credited_tick, n.last_fired) for n in net.nodes.values()]
+    rows = [(n.id, n.above_credits, n.credited_tick) for n in net.nodes.values()]
     rows += [(e.id, e.above_credits, e.credited_tick) for e in net.edges()]
     return snapshot_json(snapshot_from_net(net, net.seed)), rows, net.quiescent()
 
@@ -594,8 +631,8 @@ def peeked_state(net):
             a *= fade
         return a
 
-    rows = [(n.id, n.weight, activation(n), n.fixated, n.above_credits, n.credited_tick,
-             n.last_fired) for n in net.nodes.values()]
+    rows = [(n.id, n.weight, activation(n), n.fixated, n.above_credits, n.credited_tick)
+            for n in net.nodes.values()]
     rows += [(e.id, e.weight, activation(e), e.fixated, e.above_credits, e.credited_tick)
              for e in net.edges()]
     return rows, net.tick_count, net.quiescent()

@@ -132,6 +132,22 @@ def test_compose_alphabet_mismatch_raises():
         compose(t1, t2)
 
 
+def test_compose_rejects_an_edited_second_table():
+    # the edit lands after validation; the composite would hold ('*', 'zz')
+    first, second = Transducer.identity("ab"), Transducer.identity("ab")
+    second.table[("*", "a")] = {("zz", "a"): 1.0}
+    with pytest.raises(StochasticityError, match="'zz'"):
+        compose(first, second)
+
+
+def test_compose_rejects_an_edited_first_table():
+    # an undeclared next state used to raise a bare KeyError
+    first, second = Transducer.identity("ab"), Transducer.identity("ab")
+    first.table[("*", "a")] = {("q", "a"): 1.0}
+    with pytest.raises(StochasticityError, match="'q'"):
+        compose(first, second)
+
+
 def test_compose_identity_is_neutral():
     t = random_transducer(random.Random(9), 3, "ab", "ab")
     ident = Transducer.identity("ab")
