@@ -180,6 +180,12 @@ class ExperimentConfig:
             raise ConfigError("corpus: required for kind=segment")
         if self.kind in ("plan", "hebbian") and getattr(self, self.kind) is None:
             raise ConfigError(f"{self.kind}: required for kind={self.kind}")
+        if self.kind == "plan":  # the one kind that runs the planner
+            for name in ("t_act", "t_rel"):
+                value = getattr(self.planner, name)
+                if not value <= self.params.a_max:
+                    raise ConfigError(f"planner.{name}: must not exceed params.a_max "
+                                      f"{self.params.a_max!r}, got {value!r}")
 
 
 def _section_class(hint):

@@ -165,6 +165,15 @@ MALFORMED = [
                  "planner: t_rel must be", id="planner.t_rel-nan"),
     pytest.param("kind: plan\nplanner: {goal_value: .nan}\nplan: {source: S, goal: G}\n", None,
                  "planner: goal_value must be", id="planner.goal_value-nan"),
+    # a planner threshold above the activation ceiling, also once a grid lowers it
+    pytest.param("kind: plan\nplanner: {t_act: 1.5}\nplan: {source: S, goal: G}\n", None,
+                 "planner.t_act: must not exceed params.a_max", id="planner.t_act-above-a_max"),
+    pytest.param("kind: plan\nplanner: {t_rel: .inf}\nplan: {source: S, goal: G}\n", None,
+                 "planner.t_rel: must not exceed params.a_max", id="planner.t_rel-inf"),
+    pytest.param("kind: plan\nparams: {a_max: 0.55}\nplan: {source: S, goal: G}\n", None,
+                 "planner.t_act: must not exceed params.a_max", id="params.a_max-below-t_act"),
+    pytest.param("kind: plan\nplan: {source: S, goal: G}\n", "a_max: [0.55]\n",
+                 "planner.t_act: must not exceed params.a_max", id="grid.a_max-below-t_act"),
     pytest.param("kind: predict\npredict: {probability: 1.5}\n", None,
                  "predict.probability: must lie in [0, 1]", id="predict.probability-1.5"),
     pytest.param("kind: predict\npredict: {trials: -4}\n", None,
