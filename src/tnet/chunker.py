@@ -115,7 +115,7 @@ def _tilings(text: str, l_min: int) -> Iterator[tuple[str, ...]]:
     return extend(0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Decomposition:
     blocks_a: tuple[str, ...]
     blocks_b: tuple[str, ...]
@@ -144,10 +144,16 @@ def decompose_units(text_a: str, text_b: str, l_min: int) -> Decomposition | Non
     that hold one of its blocks, in enumeration order, and is skipped
     outright when even sharing all such blocks could not beat the best
     pairing so far.
+
+    Every shared block is at least ``l_min`` long, so it starts with an
+    ``l_min``-gram of both spans: with no such common gram, or no tiling of
+    ``text_b`` holding a block of ``text_a``, nothing is enumerated further.
     """
     if text_a == text_b:
         block = (text_a,)
         return Decomposition(block, block, block)
+    if not any(text_b[i:i + l_min] in text_a for i in range(len(text_b) - l_min + 1)):
+        return None
     tilings_b: list[tuple[str, ...]] = []
     counts_b: list[Counter[str]] = []
     holders: dict[str, list[int]] = {}       # block -> tilings of b holding it
@@ -160,6 +166,8 @@ def decompose_units(text_a: str, text_b: str, l_min: int) -> Decomposition | Non
                 holders.setdefault(block, []).append(len(tilings_b))
             tilings_b.append(tb)
             counts_b.append(Counter(key))
+    if not holders:
+        return None
     best: Decomposition | None = None
     best_len = best_count = 0
     seen.clear()
@@ -485,16 +493,19 @@ class Chunker:
 
     def _occurs_earlier(self, span_start: int, span_end: int) -> bool:
         """Is there a non-overlapping earlier copy of the span, after the
-        boundary, inside the buffer?"""
+        boundary, inside the buffer?
+
+        A copy is a hit of the span's text whose symbols fill the same number
+        of ticks as the span, with no more and no fewer ticks between them.
+        """
         ticks, buffered = self._ticks, self._text
         text = _between(ticks, buffered, span_start, span_end)
         length = span_end - span_start + 1
-        for i in range(bisect_right(ticks, self.boundary), len(ticks)):
-            t1 = ticks[i] + length - 1
-            if t1 >= span_start:
-                break
-            if buffered[i:bisect_right(ticks, t1, i)] == text:
+        i = buffered.find(text, bisect_right(ticks, self.boundary)) if text else -1
+        while i >= 0 and (t1 := ticks[i] + length - 1) < span_start:
+            if bisect_right(ticks, t1, i) == i + len(text):
                 return True
+            i = buffered.find(text, i + 1)
         return False
 
     def _raw_step(self, symbol: str, tick: int) -> None:
@@ -692,6 +703,8 @@ class Chunker:
         # Trace pairings are preferred on ties — a known trace explaining a
         # new span beats two new spans explaining each other.
         tilings: dict[str, tuple[str, ...]] = {}
+        # decompose_units is pure: each pairing is decomposed once per closure
+        decomposed: dict[tuple[str, str], Decomposition | None] = {}
         while True:
             undecided = [text for text in sorted(groups) if text not in tilings]
             if not undecided:
@@ -704,7 +717,9 @@ class Chunker:
             pairings += [(0, a, b) for a, b in combinations(undecided, 2)]
             best: tuple | None = None
             for is_trace, text_a, text_b in pairings:
-                dec = decompose_units(text_a, text_b, self.cp.l_min)
+                if (text_a, text_b) not in decomposed:
+                    decomposed[text_a, text_b] = decompose_units(text_a, text_b, self.cp.l_min)
+                dec = decomposed[text_a, text_b]
                 if dec is None or len(dec.blocks_a) == 1 and (is_trace or len(dec.blocks_b) == 1):
                     continue
                 key = (dec.shared_length, len(dec.shared), is_trace, text_a, text_b)

@@ -1,7 +1,8 @@
 """Acceptance suite: ten end-to-end checks, one test (one pass/fail line) each.
 
 Each test states its tolerance inline and enforces its own runtime budget,
-which interrupts a check that runs past it; a last test checks that guard.
+which interrupts a check that runs past it.  A budget regression test for one
+long random stream follows them, and a last test checks the guard itself.
 The segmentation goldens (tests 1-3) pin exact chunk sets and exact edge
 equalities; the rest are oracle comparisons and behavioral laws.
 """
@@ -518,6 +519,23 @@ def test_10_priming_flips_match_and_latency_tracks_value_gap():
             rounds.append(d.rounds_used)
         assert all(later >= earlier for earlier, later in zip(rounds, rounds[1:]))
         assert rounds[-1] > rounds[0]
+
+
+# ---------------------------------------------------------------------------
+# budget regressions
+# ---------------------------------------------------------------------------
+
+def test_seed_9_random_stream_segments_within_budget():
+    # 500 symbols over 16 letters; this took 4-5 s when every closure pairing
+    # enumerated every tiling of both spans, on a shared 2-vCPU machine
+    rng = random.Random(9)
+    stream = "".join(rng.choice("abcdefghijklmnop") for _ in range(500))
+    with Budget(1.5):
+        chunker = segment(stream)
+    assert chunker.fixated_chunks() == {
+        "bi", "bm", "cc", "cij", "cn", "da", "db", "ej", "em", "en", "fa", "fd",
+        "fi", "fonffhbdecmd", "gg", "gm", "ha", "hn", "ja", "jj", "ka", "lh", "ll",
+        "mg", "mh", "nil", "nn", "np"}
 
 
 # ---------------------------------------------------------------------------

@@ -140,6 +140,9 @@ def unit_pairs(draw):
 
 @given(pair=unit_pairs())
 @example(pair=("baaabaaabbb", "aaabbbabbbab", 2))   # equal length, more blocks wins late
+@example(pair=("abab", "cdcd", 2))                   # no common 2-gram
+@example(pair=("xxab", "abc", 2))                    # a common gram, no shareable block
+@example(pair=("ab", "a", 2))                        # text_b shorter than l_min
 @settings(max_examples=300, deadline=None)
 def test_decompose_matches_enumerating_reference(pair):
     text_a, text_b, l_min = pair
@@ -150,6 +153,34 @@ def test_decompose_matches_enumerating_reference(pair):
     else:
         assert got is not None
         assert (got.blocks_a, got.blocks_b, got.shared) == (want.blocks_a, want.blocks_b, want.shared)
+
+
+def test_decomposition_is_frozen():
+    d = decompose_units("98136", "28136", l_min=2)
+    with pytest.raises(AttributeError):
+        d.shared = ()
+
+
+def test_closure_decomposes_each_pairing_once(monkeypatch):
+    # a two-round closure: the first round splits the trace "behfhee", the
+    # second pits "af" against "cg" again
+    calls: list[list[tuple[str, str]]] = []
+    closure = Chunker._closure
+
+    def traced_closure(self, *window):
+        calls.append([])
+        return closure(self, *window)
+
+    def traced_decompose(text_a, text_b, l_min):
+        calls[-1].append((text_a, text_b))
+        return decompose_units(text_a, text_b, l_min)
+
+    monkeypatch.setattr(Chunker, "_closure", traced_closure)
+    monkeypatch.setattr("tnet.chunker.decompose_units", traced_decompose)
+    run_stream("behfheecgbaeecgaf")
+    assert [len(seen) == len(set(seen)) for seen in calls] == [True, True]
+    assert set(calls[1]) == {("af", "behfhee"), ("af", "cg"), ("baee", "behfhee"),
+                             ("baee", "cg"), ("af", "baee")}
 
 
 def test_decompose_random_18_symbol_pair_within_budget():
@@ -192,6 +223,10 @@ def scanned_occurs_earlier(buf: list[tuple[int, str]], boundary: int,
 @given(steps=st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 2)), max_size=40))
 # the prefix matcher replays a tick that passed without a symbol
 @example(steps=[("b", 0), ("b", 0), ("b", 0), ("c", 0), ("a", 0), ("b", 0), ("b", 0), ("a", 1)])
+# "ab" first occurs across a tick gap, later without one
+@example(steps=[("a", 0), ("b", 1), ("a", 0), ("b", 0), ("a", 0), ("b", 0)])
+# a span ending past the window's last tick matches "ab" followed by a gap
+@example(steps=[("a", 0), ("b", 0), ("a", 1), ("b", 0)])
 @settings(max_examples=60, deadline=None)
 def test_span_lookups_match_window_scan_across_tick_gaps(steps):
     net = make_net()
