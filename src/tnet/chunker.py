@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter
-from collections.abc import Iterator
+from collections.abc import Container
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -91,28 +91,30 @@ class _Prefix:
 # standalone operations
 # ---------------------------------------------------------------------------
 
-def _tilings(text: str, l_min: int) -> Iterator[tuple[str, ...]]:
-    """All partitions of ``text`` into blocks of length >= l_min, lex order
-    (shortest first block first).
+def _first_tilings(text: str, l_min: int,
+                   shareable: Container[str]) -> dict[tuple[str, ...], tuple[str, ...]]:
+    """The first tiling of ``text`` (lex order: shortest first block first)
+    for each sorted tuple of its ``shareable`` blocks, in the order those
+    first tilings come; every block is at least l_min long.
 
-    The tilings of every proper suffix are built once, bottom-up; those of
-    the whole text are streamed from them.
+    Tilings are ordered by their block lengths, so the first tiling of a
+    suffix for a key is the shortest head block whose rest has a tiling
+    for the key less that head, then the first such tiling; the maps are
+    built bottom-up, one per suffix.
     """
     n = len(text)
-    if n == 0:
-        return iter([()])
-    suffixes: list[list[tuple[str, ...]]] = [[] for _ in range(n)] + [[()]]
-
-    def extend(i: int) -> Iterator[tuple[str, ...]]:
+    firsts: list[dict[tuple[str, ...], tuple[str, ...]]] = [{} for _ in range(n)] + [{(): ()}]
+    for i in range(n - l_min, -1, -1):
+        found = firsts[i]
         for j in range(i + l_min, n + 1):
-            if j == n or n - j >= l_min:
-                head = text[i:j]
-                for rest in suffixes[j]:
-                    yield (head,) + rest
-
-    for i in range(n - l_min, 0, -1):
-        suffixes[i] = list(extend(i))
-    return extend(0)
+            head = text[i:j]
+            shared = head in shareable
+            for key, rest in firsts[j].items():
+                if shared:
+                    key = tuple(sorted(key + (head,)))
+                if key not in found:
+                    found[key] = (head,) + rest
+    return firsts[0]
 
 
 @dataclass(frozen=True)
@@ -136,10 +138,11 @@ def decompose_units(text_a: str, text_b: str, l_min: int) -> Decomposition | Non
     shares anything.  Ties prefer more shared blocks, then leftmost (lex
     enumeration order: ``text_a``'s tiling first, then ``text_b``'s).
 
-    The search is exhaustive, but it skips what cannot change the answer.
+    The search is exact, but it skips what cannot change the answer.
     A pairing's outcome depends only on the multiset of blocks the two
-    tilings could share, so a tiling whose multiset an earlier tiling of
-    the same side already had is dropped: the earlier one wins every tie.
+    tilings could share, and the first tiling with a multiset wins every
+    tie against later ones, so each side builds only its first tiling per
+    multiset (``_first_tilings``), never the others.
     Each tiling of ``text_a`` is paired only with the tilings of ``text_b``
     that hold one of its blocks, in enumeration order, and is skipped
     outright when even sharing all such blocks could not beat the best
@@ -157,11 +160,8 @@ def decompose_units(text_a: str, text_b: str, l_min: int) -> Decomposition | Non
     tilings_b: list[tuple[str, ...]] = []
     counts_b: list[Counter[str]] = []
     holders: dict[str, list[int]] = {}       # block -> tilings of b holding it
-    seen: set[tuple[str, ...]] = set()
-    for tb in _tilings(text_b, l_min):
-        key = tuple(sorted(block for block in tb if block in text_a))
-        if key and key not in seen:
-            seen.add(key)
+    for key, tb in _first_tilings(text_b, l_min, text_a).items():
+        if key:
             for block in dict.fromkeys(key):
                 holders.setdefault(block, []).append(len(tilings_b))
             tilings_b.append(tb)
@@ -170,12 +170,9 @@ def decompose_units(text_a: str, text_b: str, l_min: int) -> Decomposition | Non
         return None
     best: Decomposition | None = None
     best_len = best_count = 0
-    seen.clear()
-    for ta in _tilings(text_a, l_min):
-        key = tuple(sorted(block for block in ta if block in holders))
-        if not key or key in seen:
+    for key, ta in _first_tilings(text_a, l_min, holders).items():
+        if not key:
             continue
-        seen.add(key)
         counts_a = Counter(key)
         bound_len = sum(map(len, key))
         if bound_len < best_len or (bound_len == best_len and len(key) <= best_count):

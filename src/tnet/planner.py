@@ -166,13 +166,16 @@ def _spread(net: Network, acts: dict[str, float], start: str, amount: float,
         return
 
     # A receiver at a_max stays there (later shares only add), so once every
-    # receiver is there the rest of the enumeration cannot change ``acts``.
+    # receiver is there the rest of the enumeration cannot change ``acts``;
+    # once every receiver off the path is, no extension of the path can.
     unsettled = {other for node_hops in hops.values() for other, _, _ in node_hops
                  if acts.get(other) != a_max}
     seen = {start}
 
     def visit(node_id: str, contribution: float) -> bool:
         """Relay along every simple extension; True once all are settled."""
+        if unsettled <= seen:
+            return False
         for other, a, b in hops[node_id]:
             if other in seen:
                 continue

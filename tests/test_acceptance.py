@@ -1,14 +1,15 @@
 """Acceptance suite: ten end-to-end checks, one test (one pass/fail line) each.
 
 Each test states its tolerance inline and enforces its own runtime budget,
-which interrupts a check that runs past it.  A budget regression test for one
-long random stream follows them, and a last test checks the guard itself.
+which interrupts a check that runs past it.  Budget regression tests for two
+long random streams follow them, and a last test checks the guard itself.
 The segmentation goldens (tests 1-3) pin exact chunk sets and exact edge
 equalities; the rest are oracle comparisons and behavioral laws.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import random
 import signal
@@ -536,6 +537,19 @@ def test_seed_9_random_stream_segments_within_budget():
         "bi", "bm", "cc", "cij", "cn", "da", "db", "ej", "em", "en", "fa", "fd",
         "fi", "fonffhbdecmd", "gg", "gm", "ha", "hn", "ja", "jj", "ka", "lh", "ll",
         "mg", "mh", "nil", "nn", "np"}
+
+
+def test_seed_0_3000_symbol_stream_segments_within_budget():
+    # 3000 symbols over 16 letters; this took about 20 s when each closure
+    # pairing streamed every tiling of both spans, on a shared 2-vCPU machine
+    rng = random.Random(0)
+    stream = "".join(rng.choice("abcdefghijklmnop") for _ in range(3000))
+    with Budget(4.0):
+        chunker = segment(stream)
+    labels = sorted(chunker.fixated_chunks())
+    assert len(labels) == 221
+    assert hashlib.sha256("\n".join(labels).encode()).hexdigest() == (
+        "b994a5edb39ed0ea245968f170e270fc26bfb6d6c1444f7dc1c7bc4b8db18c0d")
 
 
 # ---------------------------------------------------------------------------

@@ -143,6 +143,8 @@ def unit_pairs(draw):
 @example(pair=("abab", "cdcd", 2))                   # no common 2-gram
 @example(pair=("xxab", "abc", 2))                    # a common gram, no shareable block
 @example(pair=("ab", "a", 2))                        # text_b shorter than l_min
+@example(pair=("abcab", "abc", 2))                   # "ab" occurs in text_b, in none of its tilings
+@example(pair=("hgcfcefghfbebdde", "aadd", 2))       # 610 tilings of text_a, one shareable multiset
 @settings(max_examples=300, deadline=None)
 def test_decompose_matches_enumerating_reference(pair):
     text_a, text_b, l_min = pair
@@ -193,6 +195,18 @@ def test_decompose_random_18_symbol_pair_within_budget():
     elapsed = time.perf_counter() - start
     assert elapsed < 1.0, f"runtime {elapsed:.2f}s over 1.0s budget"
     assert dec is None or sum(map(len, dec.blocks_a)) == 18
+
+
+def test_decompose_random_32_symbol_pair_within_budget():
+    # two 32-symbol units have 1,346,269 tilings each; streaming every
+    # tiling of both sides took about 3.7 s on a shared 2-vCPU machine
+    rng = random.Random(32)
+    text_a, text_b = ("".join(rng.choice("abcdefgh") for _ in range(32)) for _ in range(2))
+    start = time.perf_counter()
+    dec = decompose_units(text_a, text_b, 2)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"runtime {elapsed:.2f}s over 1.0s budget"
+    assert dec is not None and dec.shared_length == 12
 
 
 # ---------------------------------------------------------------------------

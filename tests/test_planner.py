@@ -342,9 +342,13 @@ def planner_cases(draw, acyclic: bool):
     zero, weights in [0.5, 1] * w_max keep every path above ``_PRUNE``.
     Cyclic: every edge and its reciprocal are positive, and two hubs
     adjacent to every node put a cycle in every pass; weights reach down to
-    0.02 * w_max so that ``_PRUNE`` cuts paths.
+    0.02 * w_max so that ``_PRUNE`` cuts paths.  Or, dense: a complete
+    graph on 5-8 nodes with every weight in [theta, w_max], whose receivers
+    reach a_max in the first round, so that paths are cut once everything
+    off them is settled.
     """
-    n = draw(st.integers(3, 9) if acyclic else st.integers(4, 7))
+    dense = not acyclic and draw(st.booleans())
+    n = draw(st.integers(3, 9) if acyclic else st.integers(5, 8) if dense else st.integers(4, 7))
     ids = [f"n{i}" for i in range(n)]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if acyclic:
@@ -353,14 +357,14 @@ def planner_cases(draw, acyclic: bool):
     else:
         order = list(range(n))
         hubs = [pair for pair in pairs if pair[0] in (1, 2) or pair[1] in (1, 2)]
-        chosen = hubs + draw(st.lists(st.sampled_from(pairs), unique=True))
-    low = 0.5 if acyclic else 0.02
+        chosen = pairs if dense else hubs + draw(st.lists(st.sampled_from(pairs), unique=True))
     size = n + 2 * len(chosen) + 3      # node weights, edge weights, primings
     keys = iter(draw(st.lists(st.integers(0, 1_000_000), min_size=size, max_size=size,
                               unique=True)))
     mode = draw(st.sampled_from(list(FiringMode)))
     net = Network(Params(), seed=draw(st.integers(0, 3)), mode=mode)
     w_max = net.params.w_max
+    low = 0.5 if acyclic else net.params.theta / w_max if dense else 0.02
     for nid in ids:
         net.add_node(nid).weight = generic(next(keys), low, 1.0) * w_max
     for i, j in dict.fromkeys(chosen):
